@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and the program under test importable.
+
+Run with: python3 -m pytest perfbench/tests
+"""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
