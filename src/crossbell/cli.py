@@ -19,7 +19,7 @@ from . import __version__
 from .bell import cross_bell_state, expand_in_cross_bell, kind_tuples, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import PureState, StateError, load_state
-from .teleport import ProtocolLayout, run_protocol
+from .teleport import ProtocolLayout, _reports
 
 SCHEMA_VERSION = 1
 FIDELITY_EXIT_TOL = 1e-9
@@ -107,27 +107,28 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     layout = ProtocolLayout(n)
     client = _resolve_client(args.client, layout.client_ids, seed)
 
-    reports = []
     if args.mode == "enumerate":
-        reports = run_protocol(kinds, client, mode="enumerate")
+        reports = _reports(kinds, client)
     else:
+        # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
-        for _ in range(args.trials):
-            trial_seed = int(trial_rng.integers(2**63))
-            reports.extend(
-                run_protocol(kinds, client, mode="sample", seed=trial_seed)
-            )
+        trial_seeds = (int(trial_rng.integers(2**63)) for _ in range(args.trials))
+        reports = _reports(kinds, client, trial_seeds)
 
+    # keep each branch's record, not its report with Bob's states
     uniform = 4.0 ** (-n)
-    branches = [
-        {
-            "outcome": [k.token for k in r.outcome],
-            "probability": r.probability,
-            "fidelity": r.fidelity_vs_client,
-        }
-        for r in reports
-    ]
-    min_fidelity = min(b["fidelity"] for b in branches)
+    branches = []
+    min_fidelity, max_deviation = float("inf"), 0.0
+    for r in reports:
+        branches.append(
+            {
+                "outcome": [k.token for k in r.outcome],
+                "probability": r.probability,
+                "fidelity": r.fidelity_vs_client,
+            }
+        )
+        min_fidelity = min(min_fidelity, r.fidelity_vs_client)
+        max_deviation = max(max_deviation, abs(r.probability - uniform))
     payload = _envelope(
         "teleport",
         {
@@ -142,7 +143,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     payload["branches"] = branches
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
-        "max_prob_deviation": max(abs(b["probability"] - uniform) for b in branches),
+        "max_prob_deviation": max_deviation,
     }
     _emit(payload, args.out)
     return 0 if min_fidelity >= 1.0 - FIDELITY_EXIT_TOL else 1

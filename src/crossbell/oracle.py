@@ -512,7 +512,11 @@ def _audit_eq9(report: DivergenceReport, tables: list) -> None:
     for a in group35:
         for b in group46:
             inverse = np.linalg.inv(np.kron(a, b))
-            assert np.allclose(inverse, np.kron(a.T, b.T), atol=CHAIN_TOL)
+            if not np.allclose(inverse, np.kron(a.T, b.T), atol=CHAIN_TOL):
+                raise FactorizationFailure(
+                    "a reference correction matrix is not real orthogonal: "
+                    "(U_K x U_L)^-1 != U_K^T x U_L^T"
+                )
             if np.allclose(inverse, np.kron(b.T, a.T), atol=CHAIN_TOL):
                 printed_holds += 1
     report.entries.append(

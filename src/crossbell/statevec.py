@@ -175,34 +175,29 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 def is_unitary2(u: np.ndarray, tol: float = NORM_TOL) -> bool:
+    """max |u u^dagger - I| <= tol, an absolute bound with no relative term."""
     u = np.asarray(u, dtype=complex)
-    return u.shape == (2, 2) and bool(
-        np.allclose(u @ u.conj().T, np.eye(2), atol=tol)
-    )
+    return u.shape == (2, 2) and bool(abs(u @ u.conj().T - SIGMA_0).max() <= tol)
 
 
 def apply_local(
     s: PureState, targets: Iterable[tuple[int, np.ndarray]]
 ) -> PureState:
     """Apply single-qubit unitaries to the named qubits, identity elsewhere."""
-    targets = list(targets)
-    seen: set[int] = set()
+    gates: dict[int, np.ndarray] = {}
     for q, u in targets:
         if q not in s.qubits:
             raise MissingQubit(f"qubit {q} not in state over {s.qubits}")
-        if q in seen:
+        if q in gates:
             raise DuplicateQubit(f"qubit {q} targeted twice")
+        u = np.asarray(u, dtype=complex)
         if not is_unitary2(u):
             raise StateError(f"matrix for qubit {q} is not a 2x2 unitary")
-        seen.add(q)
-    psi = s.amps.reshape([2] * s.n_qubits)
-    for q, u in targets:
-        axis = s.qubits.index(q)
-        psi = np.moveaxis(
-            np.tensordot(np.asarray(u, dtype=complex), psi, axes=([1], [axis])),
-            0,
-            axis,
-        )
+        gates[q] = u
+    psi = s.amps
+    for q, u in gates.items():
+        # (2, 2) @ (before, 2, after) acts on the target's axis alone
+        psi = u @ psi.reshape(2 ** s.qubits.index(q), 2, -1)
     return PureState(s.qubits, psi.reshape(-1))
 
 

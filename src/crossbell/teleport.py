@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
-from .measure import bell_collapse, sample_kind
+from .measure import _project_all, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
     apply_local,
+    canonicalize,
     cross,
     fidelity,
+    ket,
 )
 
 FRAME_MAGIC = b"XBEL"
@@ -149,11 +149,27 @@ def total_state(channel: PureState, client: PureState) -> PureState:
     return cross(channel, client)
 
 
-@lru_cache(maxsize=None)
-def _correction_table_cached(kinds: ChannelSpec):
-    from . import oracle  # deferred: oracle builds on this module
+def _single_pair_table() -> dict[tuple[BellKind, BellKind], np.ndarray]:
+    """Scaled transfer matrices 2T of one-qubit teleportation, keyed
+    (channel kind, outcome kind): column j is Bob's unnormalized state after
+    the client |j> meets the channel and the sender's pair is measured."""
+    layout = ProtocolLayout(1)
+    (client_id,), (pair,) = layout.client_ids, layout.measure_pairs
+    table = {}
+    for channel in KIND_ORDER:
+        columns = []
+        for j in (0, 1):
+            total = total_state(prepare_channel((channel,)), ket({client_id: j}))
+            _, rows, _ = _project_all(total.qubits, total.amps, pair)
+            columns.append(2.0 * rows)
+        for k, outcome in enumerate(KIND_ORDER):
+            table[(channel, outcome)] = np.stack([col[k] for col in columns], axis=1)
+    return table
 
-    return oracle.derive_correction_table(kinds)
+
+# The channel is a product of independent pairs, so slot m's correction is
+# the single-pair one for its own channel kind and outcome.
+_PAIR_CORRECTIONS = _single_pair_table()
 
 
 def corrections_for(
@@ -161,14 +177,14 @@ def corrections_for(
 ) -> list[np.ndarray]:
     """Per-slot transfer unitaries for a channel/outcome combination.
 
-    Derived (and cached) from brute-force transfer matrices, so the list is
-    valid for any channel, not just the reference one. Slot m's matrix maps
-    client coefficients to Bob's collapsed coefficients on qubit m+1.
+    Slot m's matrix maps client coefficients to Bob's collapsed coefficients
+    on qubit m+1; it is the single-pair entry for (kinds[m], outcome[m]),
+    valid for any channel because the pairs are independent. The oracle's
+    joint brute-force derivation checks this composition in the tests.
     """
     if len(outcome) != len(kinds):
         raise ValueError(f"{len(outcome)} outcomes for {len(kinds)} channel slots")
-    table = _correction_table_cached(tuple(kinds))
-    return [table[m][k].copy() for m, k in enumerate(outcome)]
+    return [_PAIR_CORRECTIONS[(c, k)].copy() for c, k in zip(kinds, outcome)]
 
 
 def recover(bob_pre: PureState, corrections: Sequence[np.ndarray]) -> PureState:
@@ -185,47 +201,14 @@ def recover(bob_pre: PureState, corrections: Sequence[np.ndarray]) -> PureState:
     return apply_local(bob_pre, targets)
 
 
-def _collapse_branch(
-    total: PureState,
-    measure_pairs: Sequence[tuple[int, int]],
-    outcome: Sequence[BellKind],
-) -> tuple[float, PureState]:
-    probability = 1.0
-    state = total
-    for pair, kind in zip(measure_pairs, outcome):
-        record = bell_collapse(state, pair, kind)
-        probability *= record.probability
-        state = record.residual
-    return probability, state
-
-
-def _sample_branch(
-    total: PureState,
-    measure_pairs: Sequence[tuple[int, int]],
-    rng: np.random.Generator,
-) -> tuple[tuple[BellKind, ...], float, PureState]:
-    outcome = []
-    probability = 1.0
-    state = total
-    for pair in measure_pairs:
-        kind = sample_kind(state, pair, rng)
-        record = bell_collapse(state, pair, kind)
-        outcome.append(kind)
-        probability *= record.probability
-        state = record.residual
-    return tuple(outcome), probability, state
-
-
 def _make_report(
     kinds: ChannelSpec,
-    client: PureState,
-    layout: ProtocolLayout,
     outcome: tuple[BellKind, ...],
     probability: float,
     bob_pre: PureState,
+    reference: PureState,
 ) -> TeleportReport:
     corrected = recover(bob_pre, corrections_for(kinds, outcome))
-    reference = PureState(layout.bob_ids, client.amps)
     return TeleportReport(
         outcome, probability, bob_pre, corrected, fidelity(corrected, reference)
     )
@@ -236,9 +219,34 @@ def _check_client(client: PureState, layout: ProtocolLayout) -> PureState:
         raise QubitSetMismatch(
             f"client must live on ids {layout.client_ids}, got {client.qubits}"
         )
-    from .statevec import canonicalize
-
     return canonicalize(client)
+
+
+def _reports(
+    kinds: ChannelSpec, client: PureState, seeds: Iterable[int] | None = None
+) -> Iterator[TeleportReport]:
+    """Reports of every branch (no ``seeds``), or of one sampled branch per
+    seed, all walked from one total state. Checks the inputs before it
+    returns; the reports are built as they are consumed."""
+    layout = ProtocolLayout(len(kinds))
+    client = _check_client(client, layout)
+    total = total_state(prepare_channel(kinds), client)
+    reference = PureState(layout.bob_ids, client.amps)
+    pairs = layout.measure_pairs
+    if seeds is None:
+        leaves = walk_branches(total.qubits, total.amps, pairs)
+    else:
+        leaves = (
+            leaf
+            for seed in seeds
+            for leaf in walk_branches(
+                total.qubits, total.amps, pairs, np.random.default_rng(seed)
+            )
+        )
+    return (
+        _make_report(kinds, outcome, probability, PureState(qubits, vec), reference)
+        for outcome, probability, qubits, vec in leaves
+    )
 
 
 def run_protocol(
@@ -252,27 +260,12 @@ def run_protocol(
     ``enumerate`` returns all 4**n outcome branches (probabilities sum to 1);
     ``sample`` draws a single branch with the given seed.
     """
-    layout = ProtocolLayout(len(kinds))
-    client = _check_client(client, layout)
-    total = total_state(prepare_channel(kinds), client)
     if mode == "enumerate":
-        reports = []
-        for outcome in product(KIND_ORDER, repeat=layout.n):
-            probability, bob_pre = _collapse_branch(
-                total, layout.measure_pairs, outcome
-            )
-            reports.append(
-                _make_report(kinds, client, layout, outcome, probability, bob_pre)
-            )
-        return reports
+        return list(_reports(kinds, client))
     if mode == "sample":
         if seed is None:
             raise ValueError("sample mode needs a seed")
-        rng = np.random.default_rng(seed)
-        outcome, probability, bob_pre = _sample_branch(
-            total, layout.measure_pairs, rng
-        )
-        return [_make_report(kinds, client, layout, outcome, probability, bob_pre)]
+        return list(_reports(kinds, client, (seed,)))
     raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
 
 
@@ -369,11 +362,11 @@ def run_session(
         try:
             total = total_state(prepare_channel(kinds), client)
             rng = np.random.default_rng(seed)
-            outcome, probability, bob_pre = _sample_branch(
-                total, layout.measure_pairs, rng
+            ((outcome, probability, qubits, vec),) = walk_branches(
+                total.qubits, total.amps, layout.measure_pairs, rng
             )
             handoff["probability"] = probability
-            handoff["bob_pre"] = bob_pre
+            handoff["bob_pre"] = PureState(qubits, vec)
             alice_end.send(ClassicalMessage(outcome).encode())
             alice_end.close()
         except BaseException as exc:  # surfaced to the caller after join
@@ -400,13 +393,7 @@ def run_session(
     if bob_error is not None:
         raise bob_error
     assert message is not None
-    bob_pre: PureState = handoff["bob_pre"]
-    corrected = recover(bob_pre, corrections_for(kinds, message.outcomes))
     reference = PureState(layout.bob_ids, client.amps)
-    return TeleportReport(
-        message.outcomes,
-        handoff["probability"],
-        bob_pre,
-        corrected,
-        fidelity(corrected, reference),
+    return _make_report(
+        kinds, message.outcomes, handoff["probability"], handoff["bob_pre"], reference
     )

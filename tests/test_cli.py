@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import time
 
+import numpy as np
 import pytest
 
-from crossbell.bell import BellKind, cross_bell_state
-from crossbell.cli import main
-from crossbell.statevec import save_state
+from crossbell.bell import BellKind, cross_bell_state, parse_channel
+from crossbell.cli import MAX_PARTIES, main
+from crossbell.statevec import PureState, save_state
+from crossbell.teleport import run_protocol
 from conftest import random_state
 
 
@@ -69,6 +72,56 @@ class TestTeleportCommand:
         assert code == 0
         assert len(payload["branches"]) == 100
         assert all(b["fidelity"] >= 1 - 1e-9 for b in payload["branches"])
+
+    def test_each_trial_replays_as_a_sampled_run(self, capsys, tmp_path, rng):
+        state = random_state((1, 2), rng)
+        path = tmp_path / "pair.state"
+        with open(path, "w") as fp:
+            save_state(state, fp)
+        code, payload = run_json(
+            capsys,
+            "teleport",
+            "--channel",
+            "phi-,psi+",
+            "--client",
+            f"file:{path}",
+            "--mode",
+            "sample",
+            "--trials",
+            "25",
+            "--seed",
+            "19",
+        )
+        assert code == 0
+        client = PureState((5, 6), state.amps)
+        trial_rng = np.random.default_rng(np.random.SeedSequence([19, 0x71A1]))
+        for record in payload["branches"]:
+            seed = int(trial_rng.integers(2**63))
+            (twin,) = run_protocol(
+                parse_channel("phi-,psi+"), client, mode="sample", seed=seed
+            )
+            assert record == {
+                "outcome": [k.token for k in twin.outcome],
+                "probability": twin.probability,
+                "fidelity": twin.fidelity_vs_client,
+            }
+
+    def test_largest_advertised_n_enumerates_in_bounded_time(self, tmp_path):
+        # 4**7 = 16384 branches; a few seconds on a 2-core host
+        wall_bound_s = 60.0
+        channel = ",".join((["phi+", "psi-", "phi-", "psi+"] * 2)[:MAX_PARTIES])
+        path = tmp_path / "n7.json"
+        start = time.perf_counter()
+        code = main(
+            ["teleport", "--n", str(MAX_PARTIES), "--channel", channel,
+             "--seed", "7", "--out", str(path)]
+        )
+        elapsed = time.perf_counter() - start
+        payload = json.loads(path.read_text())
+        assert code == 0
+        assert len(payload["branches"]) == 4**MAX_PARTIES == 16384
+        assert payload["aggregate"]["min_fidelity"] >= 1 - 1e-9
+        assert elapsed < wall_bound_s
 
     def test_preset_client(self, capsys):
         code, payload = run_json(

@@ -11,6 +11,7 @@ from crossbell.measure import (
     bell_probabilities,
     project_onto_bell,
     sample_kind,
+    walk_branches,
 )
 from crossbell.statevec import MissingQubit, PureState, ket, tensor
 from crossbell.teleport import prepare_channel, total_state
@@ -137,3 +138,61 @@ class TestSampling:
         sigma = np.sqrt(p * (1 - p) / trials)
         for kind in KIND_ORDER:
             assert abs(counts[kind] / trials - p) <= 3 * sigma
+
+    def test_rounding_shortfall_falls_back_to_a_possible_kind(self):
+        # psi+ carries all the weight, but its rounded probability sits just
+        # below the largest draw rng.random() can return
+        class TopDraw:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        s = bell_state(BellKind.PSI_PLUS, (1, 2))
+        assert bell_probabilities(s, (1, 2))[BellKind.PSI_PLUS] < TopDraw().random()
+        kind = sample_kind(s, (1, 2), TopDraw())
+        assert kind is BellKind.PSI_PLUS
+        assert bell_collapse(s, (1, 2), kind).probability == pytest.approx(1.0)
+
+
+PAIRS = ((3, 5), (4, 6))
+
+
+class TestWalkBranches:
+    def test_enumeration_matches_one_projection_per_kind(self, rng):
+        # reference: project_onto_bell contracts one kind at a time
+        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        leaves = list(walk_branches(s.qubits, s.amps, PAIRS))
+        assert [leaf[0] for leaf in leaves] == [
+            (k1, k2) for k1 in KIND_ORDER for k2 in KIND_ORDER
+        ]
+        for outcome, probability, qubits, vec in leaves:
+            state, expected = s, 1.0
+            for pair, kind in zip(PAIRS, outcome):
+                remaining, raw = project_onto_bell(state, pair, kind)
+                p = float(np.vdot(raw, raw).real)
+                expected *= p
+                state = PureState(remaining, raw / np.sqrt(p))
+            assert probability == pytest.approx(expected, abs=1e-12)
+            assert qubits == state.qubits == (1, 2)
+            assert np.allclose(vec, state.amps, atol=1e-12)
+        total = sum(leaf[1] for leaf in leaves)
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_sampled_path_draws_like_sample_kind(self, rng):
+        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        for seed in range(20):
+            ((outcome, probability, _, vec),) = walk_branches(
+                s.qubits, s.amps, PAIRS, np.random.default_rng(seed)
+            )
+            sampler = np.random.default_rng(seed)
+            state, expected = s, []
+            for pair in PAIRS:
+                kind = sample_kind(state, pair, sampler)
+                state = bell_collapse(state, pair, kind).residual
+                expected.append(kind)
+            assert outcome == tuple(expected)
+            assert np.allclose(vec, state.amps, atol=1e-12)
+
+    def test_zero_probability_branch_rejected(self):
+        s = tensor(bell_state(BellKind.PSI_PLUS, (1, 2)), ket({3: 0}))
+        with pytest.raises(ZeroProbabilityOutcome):
+            list(walk_branches(s.qubits, s.amps, [(1, 2)]))

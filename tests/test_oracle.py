@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from crossbell.bell import KIND_ORDER, BellKind, bell_state, paper_correction_table
+from crossbell import oracle
 from crossbell.oracle import (
     ArityError,
+    DivergenceReport,
     FactorizationFailure,
+    _audit_eq9,
     _factor_signed_paulis,
     coefficient_matrix,
     derive_correction,
@@ -27,7 +30,7 @@ from crossbell.statevec import (
     PureState,
     ket,
 )
-from crossbell.teleport import ProtocolLayout, run_protocol
+from crossbell.teleport import ProtocolLayout, corrections_for, run_protocol
 from conftest import random_state
 
 PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
@@ -150,6 +153,17 @@ class TestDeriveCorrectionTable:
         for report in run_protocol(kinds, client):
             assert report.fidelity_vs_client >= 1 - 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_pair_corrections_compose_to_the_joint_table(self, n):
+        # the protocol composes one table per pair; the joint brute force
+        # over all 3n qubits must agree slot by slot for every channel
+        for kinds in product(KIND_ORDER, repeat=n):
+            tables = derive_correction_table(kinds)
+            for kind in KIND_ORDER:
+                composed = corrections_for(kinds, (kind,) * n)
+                for m in range(n):
+                    assert np.max(np.abs(composed[m] - tables[m][kind])) <= 1e-12
+
 
 class TestEntanglement:
     def test_maximally_entangled(self):
@@ -241,6 +255,14 @@ class TestAudit:
         for entry in (e for e in report.entries if e.location.startswith("eq4.")):
             assert entry.verdict == "sign-mismatch"
             assert "(0, 0)" in entry.notes
+
+    def test_non_orthogonal_reference_matrix_raises(self, monkeypatch):
+        printed = paper_correction_table()
+        printed[(1, BellKind.PHI_PLUS)] = np.array([[1, 1], [0, 1]], dtype=complex)
+        monkeypatch.setattr(oracle, "paper_correction_table", lambda: printed)
+        tables = derive_correction_table(PHI_CHANNEL)
+        with pytest.raises(FactorizationFailure):
+            _audit_eq9(DivergenceReport(), tables)
 
     def test_inverse_rule_slot_order_flagged(self, report):
         entry = next(e for e in report.entries if e.location == "eq9.inverse")

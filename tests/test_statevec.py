@@ -286,6 +286,10 @@ class TestApplyLocal:
     def test_rejects_nonunitary(self):
         with pytest.raises(StateError):
             apply_local(ket({1: 0}), [(1, np.array([[1, 0], [0, 2.0]]))])
+        # within numpy's default relative tolerance, far outside 1e-12
+        near = np.diag([1 + 4e-6, 1.0])
+        with pytest.raises(StateError, match="not a 2x2 unitary"):
+            apply_local(ket({1: 0}), [(1, near)])
 
     def test_unitary_then_adjoint_is_identity(self, rng):
         s = random_state((1, 2, 3), rng)

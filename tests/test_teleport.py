@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import json
 from itertools import product
 
@@ -182,6 +185,19 @@ class TestCorrections:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             corrections_for(PHI_CHANNEL, (BellKind.PSI_PLUS,))
+
+    @pytest.mark.parametrize("name", ["statevec", "bell", "measure", "teleport"])
+    def test_runtime_path_does_not_import_the_oracle(self, name):
+        # the oracle checks the runtime's corrections, so it must not feed them
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"crossbell.{name}")))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any("oracle" in mod for mod in imported), imported
 
 
 class TestRecover:
