@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .statevec import (
+    CHAIN_TOL,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
@@ -185,7 +186,7 @@ def format_matrix_token(mat: np.ndarray) -> str:
     """Inverse of :func:`parse_matrix_token` for signed (i-)Pauli matrices."""
     for base, ref in _MATRIX_BASE.items():
         for prefix, factor in (("", 1), ("-", -1), ("i*", 1j), ("-i*", -1j)):
-            if np.allclose(mat, factor * ref, atol=1e-9):
+            if np.allclose(mat, factor * ref, atol=CHAIN_TOL):
                 return prefix + base
     raise ValueError("matrix is not a signed (i-)Pauli")
 

@@ -18,11 +18,10 @@ import numpy as np
 from . import __version__
 from .bell import cross_bell_state, expand_in_cross_bell, kind_tuples, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
-from .statevec import PureState, StateError, load_state
+from .statevec import CHAIN_TOL, EXACT_TOL, PureState, StateError, load_state
 from .teleport import ProtocolLayout, _reports
 
 SCHEMA_VERSION = 1
-FIDELITY_EXIT_TOL = 1e-9
 MAX_PARTIES = 7
 MAX_BASIS_PARTIES = 5
 
@@ -112,7 +111,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     else:
         # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
-        trial_seeds = (int(trial_rng.integers(2**63)) for _ in range(args.trials))
+        trial_seeds = [int(trial_rng.integers(2**63)) for _ in range(args.trials)]
         reports = _reports(kinds, client, trial_seeds)
 
     # keep each branch's record, not its report with Bob's states
@@ -146,7 +145,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         "max_prob_deviation": max_deviation,
     }
     _emit(payload, args.out)
-    return 0 if min_fidelity >= 1.0 - FIDELITY_EXIT_TOL else 1
+    return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -185,7 +184,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     payload["states"] = len(states)
     payload["max_deviation"] = deviation
     _emit(payload, args.out)
-    return 0 if deviation < 1e-12 else 1
+    return 0 if deviation < EXACT_TOL else 1
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:

@@ -23,14 +23,21 @@ from .bell import (
     _read_data_lines,
     expand_in_cross_bell,
     format_matrix_token,
+    kind_tuples,
     paper_correction_table,
 )
 from .measure import _project_raw
-from .statevec import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, canonicalize
+from .statevec import (
+    CHAIN_TOL,
+    EXACT_TOL,
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    PureState,
+    canonicalize,
+)
 from .teleport import ProtocolLayout, prepare_channel, total_state
-
-EXACT_TOL = 1e-12
-CHAIN_TOL = 1e-9
 
 
 class FactorizationFailure(Exception):
@@ -135,7 +142,7 @@ def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarra
             )
             scaled = (2**n) * transfer_matrix(kinds, outcome)
             tables[m][kind] = _solve_slot(scaled, tables, m, n)
-    for outcome in product(KIND_ORDER, repeat=n):
+    for outcome in kind_tuples(n):
         scaled = (2**n) * transfer_matrix(kinds, outcome)
         joint = tables[0][outcome[0]]
         for m in range(1, n):

@@ -15,7 +15,10 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-NORM_TOL = 1e-12
+# The two tolerances: one arithmetic step (normalization, Gram matrices,
+# probabilities) and a chained pipeline (fidelities, transfer factorizations).
+EXACT_TOL = 1e-12
+CHAIN_TOL = 1e-9
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,9 +77,9 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise StateError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > EXACT_TOL:
             raise NormalizationError(
-                f"squared norm {norm_sq!r} outside 1 +/- {NORM_TOL}; "
+                f"squared norm {norm_sq!r} outside 1 +/- {EXACT_TOL}; "
                 "use PureState.renormalized to accept unnormalized input"
             )
         amps = amps.copy()
@@ -89,7 +92,7 @@ class PureState:
         """Escape hatch: scale ``amps`` to unit norm before constructing."""
         amps = np.asarray(amps, dtype=complex)
         norm = float(np.linalg.norm(amps))
-        if norm <= NORM_TOL:
+        if norm <= EXACT_TOL:
             raise NormalizationError("cannot renormalize a (near-)zero vector")
         return cls(tuple(qubits), amps / norm)
 
@@ -174,7 +177,7 @@ def fidelity(a: PureState, b: PureState) -> float:
     return abs(inner(a, b)) ** 2
 
 
-def is_unitary2(u: np.ndarray, tol: float = NORM_TOL) -> bool:
+def is_unitary2(u: np.ndarray, tol: float = EXACT_TOL) -> bool:
     """max |u u^dagger - I| <= tol, an absolute bound with no relative term."""
     u = np.asarray(u, dtype=complex)
     return u.shape == (2, 2) and bool(abs(u @ u.conj().T - SIGMA_0).max() <= tol)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
-from .measure import _project_all, walk_branches
+from .measure import Walk, _contract, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
@@ -157,13 +157,14 @@ def _single_pair_table() -> dict[tuple[BellKind, BellKind], np.ndarray]:
     (client_id,), (pair,) = layout.client_ids, layout.measure_pairs
     table = {}
     for channel in KIND_ORDER:
-        columns = []
-        for j in (0, 1):
-            total = total_state(prepare_channel((channel,)), ket({client_id: j}))
-            _, rows, _ = _project_all(total.qubits, total.amps, pair)
-            columns.append(2.0 * rows)
+        totals = [
+            total_state(prepare_channel((channel,)), ket({client_id: j}))
+            for j in (0, 1)
+        ]
+        level = np.stack([total.amps for total in totals])
+        _, rows, _ = _contract(totals[0].qubits, level, pair)
         for k, outcome in enumerate(KIND_ORDER):
-            table[(channel, outcome)] = np.stack([col[k] for col in columns], axis=1)
+            table[(channel, outcome)] = 2.0 * rows[:, k].T
     return table
 
 
@@ -222,31 +223,54 @@ def _check_client(client: PureState, layout: ProtocolLayout) -> PureState:
     return canonicalize(client)
 
 
+def _walk(
+    kinds: ChannelSpec, client: PureState, seeds: Sequence[int] | None = None
+) -> Walk:
+    """Every branch of the run (no ``seeds``), or one sampled path per seed,
+    walked from one total state. Trial t's draws are the first n uniforms of
+    ``default_rng(seeds[t])``, the ones n ``rng.random()`` calls give."""
+    layout = ProtocolLayout(len(kinds))
+    total = total_state(prepare_channel(kinds), client)
+    draws = None
+    if seeds is not None:
+        draws = [
+            np.random.default_rng(seed).random(layout.n).tolist() for seed in seeds
+        ]
+    return walk_branches(total.qubits, total.amps, layout.measure_pairs, draws)
+
+
 def _reports(
-    kinds: ChannelSpec, client: PureState, seeds: Iterable[int] | None = None
+    kinds: ChannelSpec, client: PureState, seeds: Sequence[int] | None = None
 ) -> Iterator[TeleportReport]:
     """Reports of every branch (no ``seeds``), or of one sampled branch per
-    seed, all walked from one total state. Checks the inputs before it
-    returns; the reports are built as they are consumed."""
+    seed. Checks the inputs and walks the tree before it returns; each
+    distinct leaf's report is built once, as the reports are consumed."""
     layout = ProtocolLayout(len(kinds))
     client = _check_client(client, layout)
-    total = total_state(prepare_channel(kinds), client)
+    walk = _walk(kinds, client, seeds)
     reference = PureState(layout.bob_ids, client.amps)
-    pairs = layout.measure_pairs
-    if seeds is None:
-        leaves = walk_branches(total.qubits, total.amps, pairs)
-    else:
-        leaves = (
-            leaf
-            for seed in seeds
-            for leaf in walk_branches(
-                total.qubits, total.amps, pairs, np.random.default_rng(seed)
-            )
+
+    def report(leaf: int) -> TeleportReport:
+        bob_pre = PureState(walk.qubits, walk.leaves[leaf])
+        return _make_report(
+            kinds, walk.outcomes[leaf], walk.probabilities[leaf], bob_pre, reference
         )
-    return (
-        _make_report(kinds, outcome, probability, PureState(qubits, vec), reference)
-        for outcome, probability, qubits, vec in leaves
-    )
+
+    if walk.trial_leaf is None:
+        return map(report, range(len(walk.outcomes)))
+    return _per_trial(report, walk.trial_leaf)
+
+
+def _per_trial(
+    report: Callable[[int], TeleportReport], trial_leaf: Iterable[int]
+) -> Iterator[TeleportReport]:
+    # leaves are numbered in order of first appearance, so a leaf not built
+    # yet is always the next one
+    built: list[TeleportReport] = []
+    for leaf in trial_leaf:
+        if leaf == len(built):
+            built.append(report(leaf))
+        yield built[leaf]
 
 
 def run_protocol(
@@ -265,7 +289,7 @@ def run_protocol(
     if mode == "sample":
         if seed is None:
             raise ValueError("sample mode needs a seed")
-        return list(_reports(kinds, client, (seed,)))
+        return list(_reports(kinds, client, [seed]))
     raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
 
 
@@ -283,7 +307,8 @@ class PipeEndpoint:
 
     def send(self, data: bytes) -> None:
         peer = self._peer
-        assert peer is not None
+        if peer is None:
+            raise SessionAborted("endpoint is not paired")
         with peer._cond:
             if peer._closed:
                 raise SessionAborted("peer endpoint is closed")
@@ -360,14 +385,10 @@ def run_session(
 
     def alice() -> None:
         try:
-            total = total_state(prepare_channel(kinds), client)
-            rng = np.random.default_rng(seed)
-            ((outcome, probability, qubits, vec),) = walk_branches(
-                total.qubits, total.amps, layout.measure_pairs, rng
-            )
-            handoff["probability"] = probability
-            handoff["bob_pre"] = PureState(qubits, vec)
-            alice_end.send(ClassicalMessage(outcome).encode())
+            walk = _walk(kinds, client, [seed])
+            handoff["probability"] = walk.probabilities[0]
+            handoff["bob_pre"] = PureState(walk.qubits, walk.leaves[0])
+            alice_end.send(ClassicalMessage(walk.outcomes[0]).encode())
             alice_end.close()
         except BaseException as exc:  # surfaced to the caller after join
             alice_error.append(exc)
@@ -375,24 +396,17 @@ def run_session(
 
     thread = threading.Thread(target=alice, name="crossbell-alice")
     thread.start()
-    bob_error: BaseException | None = None
-    message = None
     try:
-        frame = _recv_frame(bob_end)
-        message = ClassicalMessage.decode(frame)
+        message = ClassicalMessage.decode(_recv_frame(bob_end))
         if len(message.outcomes) != layout.n:
             raise ProtocolViolation(
                 f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
             )
-    except BaseException as exc:
-        bob_error = exc
     finally:
         thread.join()
-    if alice_error:
-        raise alice_error[0]
-    if bob_error is not None:
-        raise bob_error
-    assert message is not None
+        # Alice's failure explains Bob's, so it is the one raised
+        if alice_error:
+            raise alice_error[0]
     reference = PureState(layout.bob_ids, client.amps)
     return _make_report(
         kinds, message.outcomes, handoff["probability"], handoff["bob_pre"], reference

@@ -123,6 +123,24 @@ class TestTeleportCommand:
         assert payload["aggregate"]["min_fidelity"] >= 1 - 1e-9
         assert elapsed < wall_bound_s
 
+    def test_largest_advertised_n_samples_a_thousand_trials_in_bounded_time(
+        self, tmp_path
+    ):
+        wall_bound_s = 30.0
+        channel = ",".join((["psi+", "phi-", "psi-", "phi+"] * 2)[:MAX_PARTIES])
+        path = tmp_path / "n7_sample.json"
+        start = time.perf_counter()
+        code = main(
+            ["teleport", "--n", str(MAX_PARTIES), "--channel", channel,
+             "--mode", "sample", "--trials", "1000", "--seed", "7",
+             "--out", str(path)]
+        )
+        elapsed = time.perf_counter() - start
+        payload = json.loads(path.read_text())
+        assert code == 0
+        assert len(payload["branches"]) == 1000
+        assert elapsed < wall_bound_s
+
     def test_preset_client(self, capsys):
         code, payload = run_json(
             capsys, "teleport", "--channel", "phi+,phi+", "--client", "ghz"

@@ -156,15 +156,21 @@ class TestSampling:
 PAIRS = ((3, 5), (4, 6))
 
 
+def draws_of(seed, count):
+    return np.random.default_rng(seed).random(count).tolist()
+
+
 class TestWalkBranches:
     def test_enumeration_matches_one_projection_per_kind(self, rng):
         # reference: project_onto_bell contracts one kind at a time
         s = random_state((1, 2, 3, 4, 5, 6), rng)
-        leaves = list(walk_branches(s.qubits, s.amps, PAIRS))
+        walk = walk_branches(s.qubits, s.amps, PAIRS)
+        assert walk.trial_leaf is None
+        leaves = list(zip(walk.outcomes, walk.probabilities, walk.leaves))
         assert [leaf[0] for leaf in leaves] == [
             (k1, k2) for k1 in KIND_ORDER for k2 in KIND_ORDER
         ]
-        for outcome, probability, qubits, vec in leaves:
+        for outcome, probability, vec in leaves:
             state, expected = s, 1.0
             for pair, kind in zip(PAIRS, outcome):
                 remaining, raw = project_onto_bell(state, pair, kind)
@@ -172,17 +178,20 @@ class TestWalkBranches:
                 expected *= p
                 state = PureState(remaining, raw / np.sqrt(p))
             assert probability == pytest.approx(expected, abs=1e-12)
-            assert qubits == state.qubits == (1, 2)
+            assert walk.qubits == state.qubits == (1, 2)
             assert np.allclose(vec, state.amps, atol=1e-12)
         total = sum(leaf[1] for leaf in leaves)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sampled_path_draws_like_sample_kind(self, rng):
+        # random(n) gives the numbers n rng.random() calls give
         s = random_state((1, 2, 3, 4, 5, 6), rng)
         for seed in range(20):
-            ((outcome, probability, _, vec),) = walk_branches(
-                s.qubits, s.amps, PAIRS, np.random.default_rng(seed)
+            walk = walk_branches(s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS))])
+            ((outcome, probability, vec),) = zip(
+                walk.outcomes, walk.probabilities, walk.leaves
             )
+            assert walk.trial_leaf == [0]
             sampler = np.random.default_rng(seed)
             state, expected = s, []
             for pair in PAIRS:
@@ -192,7 +201,37 @@ class TestWalkBranches:
             assert outcome == tuple(expected)
             assert np.allclose(vec, state.amps, atol=1e-12)
 
+    def test_trials_share_nodes_and_keep_first_appearance_order(self, rng):
+        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        seeds = [3, 11, 3, 40, 11, 3]
+        walk = walk_branches(
+            s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS)) for seed in seeds]
+        )
+        alone = [
+            walk_branches(s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS))])
+            for seed in seeds
+        ]
+        reached = [one.outcomes[0] for one in alone]
+        assert walk.outcomes == list(dict.fromkeys(reached))
+        for t, one in enumerate(alone):
+            leaf = walk.trial_leaf[t]
+            assert walk.outcomes[leaf] == one.outcomes[0]
+            assert walk.probabilities[leaf] == one.probabilities[0]
+            assert np.array_equal(walk.leaves[leaf], one.leaves[0])
+
     def test_zero_probability_branch_rejected(self):
         s = tensor(bell_state(BellKind.PSI_PLUS, (1, 2)), ket({3: 0}))
         with pytest.raises(ZeroProbabilityOutcome):
-            list(walk_branches(s.qubits, s.amps, [(1, 2)]))
+            walk_branches(s.qubits, s.amps, [(1, 2)])
+
+    def test_zero_probability_child_a_trial_reaches_is_rejected(self):
+        # psi- carries 1e-13 of the weight: a draw just below 1 lands on it
+        c_plus, c_minus = np.sqrt(1 - 1e-13), np.sqrt(1e-13)
+        pair_amps = np.array(
+            [c_plus + c_minus, 0, 0, c_plus - c_minus], dtype=complex
+        ) / np.sqrt(2)
+        s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
+        walk = walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [0.7]])
+        assert walk.outcomes == [(BellKind.PSI_PLUS,)]
+        with pytest.raises(ZeroProbabilityOutcome):
+            walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbell.bell import BellKind, bell_state
@@ -324,9 +324,26 @@ def test_canonicalize_round_trip_preserves_inner(seed):
     assert abs(direct - inner(a, b)) < 1e-12
 
 
+finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
 class TestStateFile:
-    def test_round_trip_bit_exact(self, rng):
-        s = random_state((2, 5, 9), rng)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.integers(1, 40), min_size=1, max_size=4).flatmap(
+            lambda ids: st.tuples(
+                st.just(tuple(sorted(ids))),
+                st.lists(
+                    finite, min_size=2 ** (len(ids) + 1), max_size=2 ** (len(ids) + 1)
+                ),
+            )
+        )
+    )
+    def test_round_trip_bit_exact(self, ids_and_parts):
+        ids, parts = ids_and_parts
+        amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        assume(np.linalg.norm(amps) > 1e-3)
+        s = PureState.renormalized(ids, amps)
         buf = io.StringIO()
         save_state(s, buf)
         buf.seek(0)

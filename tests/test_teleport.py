@@ -4,13 +4,19 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossbell
+import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
 from crossbell.statevec import (
     SIGMA_0,
@@ -24,8 +30,10 @@ from crossbell.statevec import (
 from crossbell.teleport import (
     ClassicalMessage,
     ProtocolLayout,
+    PipeEndpoint,
     ProtocolViolation,
     SessionAborted,
+    _reports,
     corrections_for,
     make_pipe,
     prepare_channel,
@@ -79,10 +87,30 @@ class TestClassicalMessage:
             assert len(frame) - 6 == (2 * n + 7) // 8
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=7))
+    @given(st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=255))
     def test_round_trip(self, kinds):
         message = ClassicalMessage(tuple(kinds))
         assert ClassicalMessage.decode(message.encode()) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=255),
+        st.data(),
+    )
+    def test_single_byte_change_is_rejected_or_decodes_differently(
+        self, kinds, data
+    ):
+        message = ClassicalMessage(tuple(kinds))
+        frame = bytearray(message.encode())
+        position = data.draw(st.integers(0, len(frame) - 1))
+        value = data.draw(st.integers(0, 255).filter(lambda b: b != frame[position]))
+        frame[position] = value
+        try:
+            decoded = ClassicalMessage.decode(bytes(frame))
+        except ProtocolViolation:
+            return
+        assert decoded != message
+        assert decoded.encode() == bytes(frame)
 
     def test_rejects_wrong_bit_count(self):
         # n=2 header followed by no payload byte: 4 outcome bits missing
@@ -280,6 +308,48 @@ class TestRunProtocol:
             first[0].bob_corrected.amps, second[0].bob_corrected.amps
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_trials_equal_single_runs_and_enumeration_bit_for_bit(
+        self, rng, n
+    ):
+        kinds = tuple(rng.choice(KIND_ORDER, size=n))
+        client = random_client(n, rng)
+        seeds = [int(seed) for seed in rng.integers(2**63, size=120)]
+        enumerated = {r.outcome: r for r in run_protocol(kinds, client)}
+        for seed, batched in zip(seeds, _reports(kinds, client, seeds)):
+            (single,) = run_protocol(kinds, client, mode="sample", seed=seed)
+            for twin in (single, enumerated[batched.outcome]):
+                assert twin.outcome == batched.outcome
+                assert twin.probability == batched.probability
+                assert np.array_equal(
+                    twin.bob_pre_state.amps, batched.bob_pre_state.amps
+                )
+                assert np.array_equal(
+                    twin.bob_corrected.amps, batched.bob_corrected.amps
+                )
+                assert twin.fidelity_vs_client == batched.fidelity_vs_client
+
+    def test_each_distinct_leaf_report_is_built_once(self, rng, monkeypatch):
+        built = []
+        make_report = teleport_module._make_report
+
+        def counting(*args):
+            built.append(args[1])
+            return make_report(*args)
+
+        monkeypatch.setattr(teleport_module, "_make_report", counting)
+        client = random_client(2, rng)
+        reports = list(_reports(PHI_CHANNEL, client, [5] * 30))
+        assert len(reports) == 30 and len(built) == 1
+        assert all(r is reports[0] for r in reports)
+        built.clear()
+        reports = list(
+            _reports((BellKind.PHI_PLUS,), random_client(1, rng), list(range(200)))
+        )
+        assert len(reports) == 200
+        assert len(built) == len(set(built)) == 4
+        assert set(built) == {r.outcome for r in reports}
+
     def test_sample_needs_seed(self, rng):
         with pytest.raises(ValueError):
             run_protocol(PHI_CHANNEL, random_client(2, rng), mode="sample")
@@ -318,6 +388,27 @@ class TestRunSession:
             (BellKind.PHI_MINUS,), client, transport=make_pipe(), seed=3
         )
         assert report.fidelity_vs_client >= 1 - 1e-9
+
+    def test_unpaired_send_aborts_under_python_O(self):
+        # assert statements vanish under -O; the guard must not
+        with pytest.raises(SessionAborted):
+            PipeEndpoint().send(b"x")
+        code = (
+            "from crossbell.teleport import PipeEndpoint, SessionAborted\n"
+            "try:\n"
+            "    PipeEndpoint().send(b'x')\n"
+            "except SessionAborted:\n"
+            "    print('aborted')\n"
+        )
+        src = str(Path(crossbell.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "aborted"
 
     def test_premature_close_aborts(self):
         alice_end, bob_end = make_pipe()
