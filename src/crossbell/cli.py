@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .bell import cross_bell_state, expand_in_cross_bell, kind_tuples, parse_channel
+from .bell import cross_bell_basis, expand_in_cross_bell, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import CHAIN_TOL, EXACT_TOL, PureState, StateError, load_state
 from .teleport import ProtocolLayout, _reports
@@ -50,30 +50,13 @@ def _envelope(command: str, config: dict) -> dict:
     }
 
 
-def _random_client(ids: Sequence[int], rng: np.random.Generator) -> PureState:
-    amps = rng.normal(size=2 ** len(ids)) + 1j * rng.normal(size=2 ** len(ids))
-    return PureState.renormalized(tuple(ids), amps)
-
-
-def _preset_client(name: str, ids: Sequence[int]) -> PureState:
-    dim = 2 ** len(ids)
-    amps = np.zeros(dim, dtype=complex)
-    if name == "zero":
-        amps[0] = 1.0
-    elif name == "ghz":
-        amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    elif name == "uniform":
-        amps[:] = 1.0 / np.sqrt(dim)
-    else:
-        raise ValueError(f"unknown preset {name!r}; choose from {_PRESETS}")
-    return PureState(tuple(ids), amps)
-
-
 def _resolve_client(spec: str, ids: Sequence[int], seed: int) -> PureState:
     """Client source: 'random', 'file:PATH', or a preset name."""
+    dim = 2 ** len(ids)
     if spec == "random":
-        ss = np.random.SeedSequence([seed, 0xC11E])
-        return _random_client(ids, np.random.default_rng(ss))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC11E]))
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return PureState.renormalized(tuple(ids), amps)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         with open(path) as fp:
@@ -84,10 +67,15 @@ def _resolve_client(spec: str, ids: Sequence[int], seed: int) -> PureState:
                 f"{len(ids)}"
             )
         return PureState(tuple(ids), state.amps)
-    if spec.startswith("preset:"):
-        return _preset_client(spec[len("preset:") :], ids)
     if spec in _PRESETS:
-        return _preset_client(spec, ids)
+        amps = np.zeros(dim, dtype=complex)
+        if spec == "zero":
+            amps[0] = 1.0
+        elif spec == "ghz":
+            amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
+        else:
+            amps[:] = 1.0 / np.sqrt(dim)
+        return PureState(tuple(ids), amps)
     raise ValueError(
         f"bad client source {spec!r}: use random, file:PATH, or one of {_PRESETS}"
     )
@@ -175,8 +163,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= MAX_BASIS_PARTIES:
         raise ValueError(f"basis check supports n in 1..{MAX_BASIS_PARTIES}")
-    pairs = ProtocolLayout(n).channel_pairs
-    states = [cross_bell_state(kinds, pairs) for kinds in kind_tuples(n)]
+    states = cross_bell_basis(ProtocolLayout(n).channel_pairs)
     stack = np.stack([s.amps for s in states])
     gram = stack.conj() @ stack.T
     deviation = float(np.max(np.abs(gram - np.eye(len(states)))))

@@ -36,6 +36,7 @@ from .statevec import (
     SIGMA_Z,
     PureState,
     canonicalize,
+    ket,
 )
 from .teleport import ProtocolLayout, prepare_channel, total_state
 
@@ -447,8 +448,6 @@ _GROUP_KINDS = {
 
 
 def _audit_eq4(report: DivergenceReport) -> None:
-    from .statevec import ket
-
     pairs = ((1, 3), (2, 4))
     for location, lhs, line_sign, group1, group2 in _read_data_lines(
         "printed_eq4.txt"
@@ -456,11 +455,14 @@ def _audit_eq4(report: DivergenceReport) -> None:
         patterns = lhs.split(",")
         holds_at = []
         for i, r in product((0, 1), repeat=2):
-            env = {"i": i, "r": r, "!i": 1 - i, "!r": 1 - r}
+            env = {"i": i, "r": r, "!i": 1 - i, "!r": 1 - r, "i+r": i + r}
             bits = [env[p] for p in patterns]
             state = ket({1: bits[0], 2: bits[1], 3: bits[2], 4: bits[3]})
             actual = expand_in_cross_bell(state, pairs)
-            sign = _line_sign(line_sign, i, r)
+            # a line sign is "+" or (-1)^e for an exponent e in env
+            sign = 1.0
+            if line_sign != "+":
+                sign = (-1.0) ** env[line_sign[len("(-1)^") :].strip("()")]
             claimed = {
                 (g1, g2): 0.5 * sign
                 for g1 in _GROUP_KINDS[group1]
@@ -498,14 +500,6 @@ def _audit_eq4(report: DivergenceReport) -> None:
                     "whole line",
                 )
             )
-
-
-def _line_sign(text: str, i: int, r: int) -> float:
-    if text == "+":
-        return 1.0
-    exponent = text[len("(-1)^") :].strip("()")
-    value = sum({"i": i, "r": r, "i+r": i + r}[t] for t in [exponent])
-    return (-1.0) ** value
 
 
 def _audit_eq9(report: DivergenceReport, tables: list) -> None:

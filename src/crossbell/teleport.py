@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,15 +23,21 @@ from .measure import Walk, _contract, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
+    StateError,
     apply_local,
     canonicalize,
     cross,
-    fidelity,
+    is_unitary2,
     ket,
 )
 
 FRAME_MAGIC = b"XBEL"
 FRAME_VERSION = 1
+
+
+def _payload_len(n: int) -> int:
+    """Bytes of 2-bit outcome codes a frame announcing n outcomes carries."""
+    return (2 * n + 7) // 8
 
 
 class ProtocolViolation(Exception):
@@ -84,7 +90,7 @@ class ClassicalMessage:
         n = len(self.outcomes)
         if not 1 <= n <= 255:
             raise ValueError(f"cannot frame {n} outcomes")
-        payload = bytearray((2 * n + 7) // 8)
+        payload = bytearray(_payload_len(n))
         for m, kind in enumerate(self.outcomes):
             bitpos = 2 * m
             payload[bitpos // 8] |= kind.code << (6 - bitpos % 8)
@@ -99,7 +105,7 @@ class ClassicalMessage:
         n = frame[5]
         if n < 1:
             raise ProtocolViolation("frame announces zero outcomes")
-        expected = 6 + (2 * n + 7) // 8
+        expected = 6 + _payload_len(n)
         if len(frame) != expected:
             raise ProtocolViolation(
                 f"frame length {len(frame)} != {expected} for n={n}"
@@ -149,28 +155,42 @@ def total_state(channel: PureState, client: PureState) -> PureState:
     return cross(channel, client)
 
 
-def _single_pair_table() -> dict[tuple[BellKind, BellKind], np.ndarray]:
-    """Scaled transfer matrices 2T of one-qubit teleportation, keyed
-    (channel kind, outcome kind): column j is Bob's unnormalized state after
+def _single_pair_table() -> np.ndarray:
+    """Scaled transfer matrices 2T of one-qubit teleportation, indexed
+    [channel code, outcome code]: column j is Bob's unnormalized state after
     the client |j> meets the channel and the sender's pair is measured."""
     layout = ProtocolLayout(1)
     (client_id,), (pair,) = layout.client_ids, layout.measure_pairs
-    table = {}
-    for channel in KIND_ORDER:
-        totals = [
-            total_state(prepare_channel((channel,)), ket({client_id: j}))
-            for j in (0, 1)
-        ]
-        level = np.stack([total.amps for total in totals])
-        _, rows, _ = _contract(totals[0].qubits, level, pair)
-        for k, outcome in enumerate(KIND_ORDER):
-            table[(channel, outcome)] = 2.0 * rows[:, k].T
-    return table
+    totals = [
+        total_state(prepare_channel((channel,)), ket({client_id: j}))
+        for channel in KIND_ORDER
+        for j in (0, 1)
+    ]
+    level = np.stack([total.amps for total in totals])
+    _, rows, _ = _contract(totals[0].qubits, level, pair)
+    # rows[2 * c + j, k] is Bob's residual for channel c, client |j>, outcome k
+    return 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
+
+
+def _pair_inverses(table: np.ndarray) -> np.ndarray:
+    """Bob's inverses: the conjugate transpose of each entry of ``table``,
+    each checked with ``is_unitary2`` as ``apply_local`` checks a gate."""
+    inverses = table.conj().swapaxes(-1, -2)
+    for c, k in np.ndindex(4, 4):
+        if not is_unitary2(inverses[c, k]):
+            raise StateError(
+                f"single-pair correction ({KIND_ORDER[c].token}, "
+                f"{KIND_ORDER[k].token}) is not a 2x2 unitary"
+            )
+    return inverses
 
 
 # The channel is a product of independent pairs, so slot m's correction is
 # the single-pair one for its own channel kind and outcome.
 _PAIR_CORRECTIONS = _single_pair_table()
+_PAIR_INVERSES = _pair_inverses(_PAIR_CORRECTIONS)
+# Leaves corrected per array step: bounds the corrected rows held at once.
+_BLOCK_ROWS = 1024
 
 
 def corrections_for(
@@ -185,7 +205,7 @@ def corrections_for(
     """
     if len(outcome) != len(kinds):
         raise ValueError(f"{len(outcome)} outcomes for {len(kinds)} channel slots")
-    return [_PAIR_CORRECTIONS[(c, k)].copy() for c, k in zip(kinds, outcome)]
+    return [_PAIR_CORRECTIONS[c.code, k.code].copy() for c, k in zip(kinds, outcome)]
 
 
 def recover(bob_pre: PureState, corrections: Sequence[np.ndarray]) -> PureState:
@@ -200,19 +220,6 @@ def recover(bob_pre: PureState, corrections: Sequence[np.ndarray]) -> PureState:
         for q, u in zip(bob_ids, corrections)
     ]
     return apply_local(bob_pre, targets)
-
-
-def _make_report(
-    kinds: ChannelSpec,
-    outcome: tuple[BellKind, ...],
-    probability: float,
-    bob_pre: PureState,
-    reference: PureState,
-) -> TeleportReport:
-    corrected = recover(bob_pre, corrections_for(kinds, outcome))
-    return TeleportReport(
-        outcome, probability, bob_pre, corrected, fidelity(corrected, reference)
-    )
 
 
 def _check_client(client: PureState, layout: ProtocolLayout) -> PureState:
@@ -244,33 +251,44 @@ def _reports(
 ) -> Iterator[TeleportReport]:
     """Reports of every branch (no ``seeds``), or of one sampled branch per
     seed. Checks the inputs and walks the tree before it returns; each
-    distinct leaf's report is built once, as the reports are consumed."""
+    distinct leaf's report is built once, and trials share them."""
     layout = ProtocolLayout(len(kinds))
     client = _check_client(client, layout)
     walk = _walk(kinds, client, seeds)
-    reference = PureState(layout.bob_ids, client.amps)
-
-    def report(leaf: int) -> TeleportReport:
-        bob_pre = PureState(walk.qubits, walk.leaves[leaf])
-        return _make_report(
-            kinds, walk.outcomes[leaf], walk.probabilities[leaf], bob_pre, reference
-        )
-
+    reports = _leaf_reports(kinds, walk, client.amps)
     if walk.trial_leaf is None:
-        return map(report, range(len(walk.outcomes)))
-    return _per_trial(report, walk.trial_leaf)
+        return reports
+    built = list(reports)
+    return map(built.__getitem__, walk.trial_leaf)
 
 
-def _per_trial(
-    report: Callable[[int], TeleportReport], trial_leaf: Iterable[int]
+def _leaf_reports(
+    kinds: ChannelSpec, walk: Walk, reference: np.ndarray
 ) -> Iterator[TeleportReport]:
-    # leaves are numbered in order of first appearance, so a leaf not built
-    # yet is always the next one
-    built: list[TeleportReport] = []
-    for leaf in trial_leaf:
-        if leaf == len(built):
-            built.append(report(leaf))
-        yield built[leaf]
+    """One report per leaf of ``walk``: Bob's corrected state and its fidelity
+    to the client amplitudes ``reference``.
+
+    Leaf rows hold Bob's state on ids 1..n, so slot m is axis m. Each block of
+    ``_BLOCK_ROWS`` rows is corrected at once: slot m's inverses act on axis m
+    of every row in one elementwise ``einsum``, with no BLAS kernel, so a
+    row's bits do not depend on the rows sharing its call.
+    """
+    for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        outcomes, rows = walk.outcomes[block], walk.leaves[block]
+        codes = np.array([[k.code for k in outcome] for outcome in outcomes])
+        corrected = rows
+        for m, channel in enumerate(kinds):
+            inverse = _PAIR_INVERSES[channel.code, codes[:, m]]
+            psi = corrected.reshape(len(rows), 2**m, 2, -1)
+            corrected = np.einsum("nrs,nasb->narb", inverse, psi).reshape(rows.shape)
+        fidelities = abs(np.einsum("ni,i->n", corrected.conj(), reference)) ** 2
+        for outcome, p, pre, post, f in zip(
+            outcomes, walk.probabilities[block], rows, corrected, fidelities.tolist()
+        ):
+            yield TeleportReport(
+                outcome, p, PureState(walk.qubits, pre), PureState(walk.qubits, post), f
+            )
 
 
 def run_protocol(
@@ -356,9 +374,7 @@ def _recv_frame(endpoint: PipeEndpoint) -> bytes:
     header = _recv_exact(endpoint, 6)
     if header[:4] != FRAME_MAGIC:
         raise ProtocolViolation("bad frame magic")
-    n = header[5]
-    payload_len = (2 * n + 7) // 8 if n else 0
-    return header + _recv_exact(endpoint, payload_len)
+    return header + _recv_exact(endpoint, _payload_len(header[5]))
 
 
 def run_session(
@@ -371,8 +387,9 @@ def run_session(
 
     Alice holds the channel halves and the client, measures, and sends one
     framed 2n-bit message. Bob holds qubits 1..n, decodes the frame, and
-    corrects using only it and his collapsed state. The residual-state
-    handoff is simulation-internal and committed before Alice's send. The
+    corrects his collapsed state by the outcomes it carries, with the step
+    ``run_protocol`` uses. The residual-state handoff (Alice's walk) is
+    simulation-internal and committed before Alice's send. The
     result is bit-identical to ``run_protocol(..., mode='sample')`` with the
     same seed.
     """
@@ -386,8 +403,7 @@ def run_session(
     def alice() -> None:
         try:
             walk = _walk(kinds, client, [seed])
-            handoff["probability"] = walk.probabilities[0]
-            handoff["bob_pre"] = PureState(walk.qubits, walk.leaves[0])
+            handoff["walk"] = walk
             alice_end.send(ClassicalMessage(walk.outcomes[0]).encode())
             alice_end.close()
         except BaseException as exc:  # surfaced to the caller after join
@@ -407,7 +423,6 @@ def run_session(
         # Alice's failure explains Bob's, so it is the one raised
         if alice_error:
             raise alice_error[0]
-    reference = PureState(layout.bob_ids, client.amps)
-    return _make_report(
-        kinds, message.outcomes, handoff["probability"], handoff["bob_pre"], reference
-    )
+    # Bob's corrections come from the frame, not from Alice's record
+    walk = handoff["walk"]._replace(outcomes=[message.outcomes])
+    return next(_leaf_reports(kinds, walk, client.amps))

@@ -167,15 +167,16 @@ class TestTeleportCommand:
         assert code == 2
 
     def test_missing_client_file_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "teleport",
-            "--channel",
-            "psi+",
-            "--client",
-            "file:/does/not/exist",
-        )
-        assert code == 2
+        # the bare preset names are the only preset spelling
+        for client, message in (
+            ("file:/does/not/exist", "error:"),
+            ("preset:ghz", "bad client source"),
+        ):
+            code, _, err = run_cli(
+                capsys, "teleport", "--channel", "psi+", "--client", client
+            )
+            assert code == 2
+            assert message in err
 
     def test_deterministic_output(self, capsys):
         argv = [

@@ -25,6 +25,8 @@ from crossbell.statevec import (
     SIGMA_Z,
     PureState,
     QubitSetMismatch,
+    StateError,
+    fidelity,
     ket,
 )
 from crossbell.teleport import (
@@ -49,6 +51,17 @@ PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
 
 def random_client(n, rng) -> PureState:
     return random_state(ProtocolLayout(n).client_ids, rng)
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` under ``python -O``, which strips assert statements."""
+    src = str(Path(crossbell.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestLayout:
@@ -247,6 +260,62 @@ class TestRecover:
             assert report.fidelity_vs_client == pytest.approx(1.0, abs=1e-9)
 
 
+class TestCorrectStep:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_recover_on_every_branch_of_every_channel(self, rng, n):
+        client = random_client(n, rng)
+        reference = PureState(ProtocolLayout(n).bob_ids, client.amps)
+        for kinds in product(KIND_ORDER, repeat=n):
+            walk = teleport_module._walk(kinds, client)
+            reports = list(teleport_module._leaf_reports(kinds, walk, client.amps))
+            assert [r.outcome for r in reports] == walk.outcomes
+            for report, pre in zip(reports, walk.leaves):
+                assert np.array_equal(report.bob_pre_state.amps, pre)
+                expected = recover(
+                    report.bob_pre_state, corrections_for(kinds, report.outcome)
+                )
+                got = report.bob_corrected
+                assert got.qubits == expected.qubits
+                assert np.allclose(got.amps, expected.amps, rtol=0, atol=1e-12)
+                assert report.fidelity_vs_client == pytest.approx(
+                    fidelity(expected, reference), abs=1e-12
+                )
+
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
+        kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
+        client = random_client(3, rng)
+        whole = run_protocol(kinds, client)
+        monkeypatch.setattr(teleport_module, "_BLOCK_ROWS", 5)
+        for a, b in zip(whole, run_protocol(kinds, client), strict=True):
+            assert a.outcome == b.outcome and a.probability == b.probability
+            assert np.array_equal(a.bob_pre_state.amps, b.bob_pre_state.amps)
+            assert np.array_equal(a.bob_corrected.amps, b.bob_corrected.amps)
+            assert a.fidelity_vs_client == b.fidelity_vs_client
+
+    def test_import_check_rejects_a_corrupted_single_pair_entry(self):
+        table = teleport_module._PAIR_CORRECTIONS.copy()
+        assert np.array_equal(
+            teleport_module._pair_inverses(table), teleport_module._PAIR_INVERSES
+        )
+        table[2, 3] *= 1 + 1e-6
+        with pytest.raises(StateError, match=r"\(phi\+, phi-\)"):
+            teleport_module._pair_inverses(table)
+        # the check is a raise, not an assert, so python -O keeps it
+        code = (
+            "import crossbell.teleport as t\n"
+            "from crossbell.statevec import StateError\n"
+            "table = t._PAIR_CORRECTIONS.copy()\n"
+            "table[2, 3] *= 1 + 1e-6\n"
+            "try:\n"
+            "    t._pair_inverses(table)\n"
+            "except StateError:\n"
+            "    print('rejected')\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "rejected"
+
+
 class TestRunProtocol:
     def test_sixteen_uniform_branches(self, rng):
         client = random_client(2, rng)
@@ -331,13 +400,13 @@ class TestRunProtocol:
 
     def test_each_distinct_leaf_report_is_built_once(self, rng, monkeypatch):
         built = []
-        make_report = teleport_module._make_report
+        report_class = teleport_module.TeleportReport
 
-        def counting(*args):
-            built.append(args[1])
-            return make_report(*args)
+        def counting(outcome, *args):
+            built.append(outcome)
+            return report_class(outcome, *args)
 
-        monkeypatch.setattr(teleport_module, "_make_report", counting)
+        monkeypatch.setattr(teleport_module, "TeleportReport", counting)
         client = random_client(2, rng)
         reports = list(_reports(PHI_CHANNEL, client, [5] * 30))
         assert len(reports) == 30 and len(built) == 1
@@ -400,13 +469,7 @@ class TestRunSession:
             "except SessionAborted:\n"
             "    print('aborted')\n"
         )
-        src = str(Path(crossbell.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        result = run_optimized(code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "aborted"
 
