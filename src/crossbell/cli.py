@@ -18,7 +18,9 @@ import numpy as np
 from . import __version__
 from .bell import cross_bell_basis, expand_in_cross_bell, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
-from .statevec import CHAIN_TOL, EXACT_TOL, PureState, StateError, load_state
+from .statevec import (
+    CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
+)
 from .teleport import ProtocolLayout, _reports
 
 SCHEMA_VERSION = 1
@@ -66,7 +68,8 @@ def _resolve_client(spec: str, ids: Sequence[int], seed: int) -> PureState:
                 f"client file holds {state.n_qubits} qubits, protocol needs "
                 f"{len(ids)}"
             )
-        return PureState(tuple(ids), state.amps)
+        # the file's ids map onto ``ids`` in ascending order, however it lists them
+        return PureState(tuple(ids), canonicalize(state).amps)
     if spec in _PRESETS:
         amps = np.zeros(dim, dtype=complex)
         if spec == "zero":

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -88,16 +90,21 @@ def _proportionality(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None
     return c if np.allclose(a, c * b, atol=tol) else None
 
 
+def _unit_ratio(scaled: np.ndarray, factors: Sequence[np.ndarray]) -> complex | None:
+    """Unit scalar c with scaled == c * (left kron fold of factors), or None."""
+    ratio = _proportionality(scaled, reduce(np.kron, factors), CHAIN_TOL)
+    if ratio is not None and abs(abs(ratio) - 1.0) <= CHAIN_TOL:
+        return ratio
+    return None
+
+
 def _factor_signed_paulis(
     scaled: np.ndarray, n: int
 ) -> tuple[list[np.ndarray], complex]:
     """Factor a unitary into canonical slot matrices and a residual phase."""
     for combo in product(_SLOT_REPS.values(), repeat=n):
-        candidate = combo[0]
-        for mat in combo[1:]:
-            candidate = np.kron(candidate, mat)
-        ratio = _proportionality(scaled, candidate, CHAIN_TOL)
-        if ratio is not None and abs(abs(ratio) - 1.0) <= CHAIN_TOL:
+        ratio = _unit_ratio(scaled, combo)
+        if ratio is not None:
             return [m.copy() for m in combo], ratio
     raise FactorizationFailure("no signed Pauli product matches the transfer")
 
@@ -162,13 +169,10 @@ def _solve_slot(
     m: int,
     n: int,
 ) -> np.ndarray:
+    base = [tables[j][BellKind.PSI_PLUS] for j in range(n)]
     for rep in _SLOT_REPS.values():
-        candidate = None
-        for j in range(n):
-            factor = rep if j == m else tables[j][BellKind.PSI_PLUS]
-            candidate = factor if candidate is None else np.kron(candidate, factor)
-        ratio = _proportionality(scaled, candidate, CHAIN_TOL)
-        if ratio is not None and abs(abs(ratio) - 1.0) <= CHAIN_TOL:
+        ratio = _unit_ratio(scaled, base[:m] + [rep] + base[m + 1 :])
+        if ratio is not None:
             return ratio * rep
     raise FactorizationFailure(f"no signed Pauli solves slot {m}")
 
@@ -507,8 +511,9 @@ def _audit_eq9(report: DivergenceReport, tables: list) -> None:
         loc: " ".join(rest)
         for loc, *rest in _read_data_lines("printed_misc.txt")
     }
-    group35 = [paper_correction_table()[(0, k)] for k in KIND_ORDER]
-    group46 = [paper_correction_table()[(1, k)] for k in KIND_ORDER]
+    printed = paper_correction_table()
+    group35 = [printed[(0, k)] for k in KIND_ORDER]
+    group46 = [printed[(1, k)] for k in KIND_ORDER]
     printed_holds = 0
     for a in group35:
         for b in group46:

@@ -6,9 +6,10 @@ channel halves are n+1..2n, and the client state to teleport sits on
 channel half n+m with client qubit 2n+m.
 
 ``run_protocol`` is a pure function over all (or one sampled) outcome
-branches. ``run_session`` realizes the same exchange with two actors talking
+branches. ``run_session`` realizes the same exchange as two actors talking
 over a byte transport; the only classical data that crosses it is one framed
-message of 2n bits naming the measurement outcomes.
+message of 2n bits naming the measurement outcomes. Alice's half runs to
+completion, then Bob's, on the caller's thread.
 """
 from __future__ import annotations
 
@@ -385,44 +386,29 @@ def run_session(
 ) -> TeleportReport:
     """Sampled teleportation as an Alice/Bob exchange over a byte transport.
 
-    Alice holds the channel halves and the client, measures, and sends one
-    framed 2n-bit message. Bob holds qubits 1..n, decodes the frame, and
-    corrects his collapsed state by the outcomes it carries, with the step
-    ``run_protocol`` uses. The residual-state handoff (Alice's walk) is
-    simulation-internal and committed before Alice's send. The
-    result is bit-identical to ``run_protocol(..., mode='sample')`` with the
-    same seed.
+    Alice holds the channel halves and the client, measures, sends one framed
+    2n-bit message and closes her end. Bob holds qubits 1..n, decodes the
+    frame, and corrects his collapsed state by the outcomes it carries, with
+    the step ``run_protocol`` uses. Bob acts only once the frame has arrived,
+    so the two halves run in that order on the caller's thread; the residual
+    state Bob corrects (Alice's walk) is simulation-internal. The result is
+    bit-identical to ``run_protocol(..., mode='sample')`` with the same seed.
     """
     layout = ProtocolLayout(len(kinds))
     client = _check_client(client, layout)
     alice_end, bob_end = transport if transport is not None else make_pipe()
 
-    handoff: dict = {}
-    alice_error: list[BaseException] = []
-
-    def alice() -> None:
-        try:
-            walk = _walk(kinds, client, [seed])
-            handoff["walk"] = walk
-            alice_end.send(ClassicalMessage(walk.outcomes[0]).encode())
-            alice_end.close()
-        except BaseException as exc:  # surfaced to the caller after join
-            alice_error.append(exc)
-            alice_end.close()
-
-    thread = threading.Thread(target=alice, name="crossbell-alice")
-    thread.start()
     try:
-        message = ClassicalMessage.decode(_recv_frame(bob_end))
-        if len(message.outcomes) != layout.n:
-            raise ProtocolViolation(
-                f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
-            )
+        walk = _walk(kinds, client, [seed])
+        alice_end.send(ClassicalMessage(walk.outcomes[0]).encode())
     finally:
-        thread.join()
-        # Alice's failure explains Bob's, so it is the one raised
-        if alice_error:
-            raise alice_error[0]
+        alice_end.close()
+
+    message = ClassicalMessage.decode(_recv_frame(bob_end))
+    if len(message.outcomes) != layout.n:
+        raise ProtocolViolation(
+            f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
+        )
     # Bob's corrections come from the frame, not from Alice's record
-    walk = handoff["walk"]._replace(outcomes=[message.outcomes])
+    walk = walk._replace(outcomes=[message.outcomes])
     return next(_leaf_reports(kinds, walk, client.amps))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from crossbell.bell import BellKind, cross_bell_state, parse_channel
-from crossbell.cli import MAX_PARTIES, main
-from crossbell.statevec import PureState, save_state
+from crossbell.cli import MAX_PARTIES, _resolve_client, main
+from crossbell.statevec import PureState, load_state, save_state
 from crossbell.teleport import run_protocol
 from conftest import random_state
 
@@ -141,6 +141,25 @@ class TestTeleportCommand:
         assert len(payload["branches"]) == 1000
         assert elapsed < wall_bound_s
 
+    def test_client_file_resolves_in_ascending_id_order(self, tmp_path, rng):
+        # ids 2 1: amplitude index 1 is q2=0, q1=1, i.e. |10> on ids 1 2
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        raw = tmp_path / "raw.state"
+        raw.write_text(
+            "crossbell-state v1\nqubits 2 1\n"
+            + "".join(f"{float(a.real)!r} {float(a.imag)!r}\n" for a in amps)
+        )
+        rewrite = tmp_path / "canonical.state"
+        with open(raw) as src, open(rewrite, "w") as dst:
+            save_state(load_state(src), dst)
+        client_ids = (5, 6)
+        from_raw = _resolve_client(f"file:{raw}", client_ids, 0)
+        from_rewrite = _resolve_client(f"file:{rewrite}", client_ids, 0)
+        assert from_raw.qubits == from_rewrite.qubits == client_ids
+        assert np.array_equal(from_raw.amps, from_rewrite.amps)
+        assert np.array_equal(from_raw.amps, amps[[0, 2, 1, 3]])
+
     def test_preset_client(self, capsys):
         code, payload = run_json(
             capsys, "teleport", "--channel", "phi+,phi+", "--client", "ghz"
@@ -244,7 +263,7 @@ class TestVerifyCommand:
 
 
 class TestBasisCommand:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orthonormal(self, capsys, n):
         code, payload = run_json(capsys, "basis", "--n", str(n))
         assert code == 0

@@ -359,3 +359,19 @@ class TestStateFile:
         text = "crossbell-state v1\nqubits 1 2\n1.0 0.0\n"
         with pytest.raises(StateError):
             load_state(io.StringIO(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text().map(lambda body: "crossbell-state v1\n" + body),
+            st.text().map(lambda body: "crossbell-state v1\nqubits " + body),
+        )
+    )
+    def test_arbitrary_text_loads_or_raises_a_mapped_error(self, text):
+        # cli.main maps StateError and ValueError to exit 2
+        try:
+            state = load_state(io.StringIO(text))
+        except (StateError, ValueError):
+            return
+        assert isinstance(state, PureState)

@@ -509,6 +509,31 @@ class TestRunSession:
                 PHI_CHANNEL, client, transport=(DiscardingEnd(), bob_end), seed=1
             )
 
+    def test_runs_on_the_callers_thread(self, rng, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("run_session started a thread")
+
+        monkeypatch.setattr("crossbell.teleport.threading.Thread", no_threads)
+        client = random_client(2, rng)
+        direct = run_protocol(PHI_CHANNEL, client, mode="sample", seed=5)[0]
+        session = run_session(PHI_CHANNEL, client, seed=5)
+        assert session.outcome == direct.outcome
+        assert np.array_equal(session.bob_corrected.amps, direct.bob_corrected.amps)
+
+    def test_alice_error_propagates_and_closes_her_end(self, rng, monkeypatch):
+        def failing_walk(*args, **kwargs):
+            raise RuntimeError("alice failed")
+
+        monkeypatch.setattr(teleport_module, "_walk", failing_walk)
+        alice_end, bob_end = make_pipe()
+        with pytest.raises(RuntimeError, match="alice failed"):
+            run_session(
+                PHI_CHANNEL, random_client(2, rng), transport=(alice_end, bob_end)
+            )
+        with pytest.raises(SessionAborted):
+            alice_end.send(b"x")
+        assert bob_end.recv(1) == b""
+
     def test_thousand_sessions_unit_fidelity(self, rng):
         failures = 0
         for trial in range(100):
