@@ -21,7 +21,7 @@ from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import (
     CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
 )
-from .teleport import ProtocolLayout, _reports
+from .teleport import ProtocolLayout, _correct, _walk
 
 SCHEMA_VERSION = 1
 MAX_PARTIES = 7
@@ -34,13 +34,16 @@ def _default_seed() -> int:
     return int(os.environ.get("CROSSBELL_SEED", "0"))
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict | str, out: str | None) -> None:
+    """Write a JSON payload, or finished text, to ``out`` or else to stdout;
+    both get the same bytes."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2) + "\n"
     if out:
         with open(out, "w") as fp:
-            fp.write(text + "\n")
+            fp.write(payload)
     else:
-        print(text)
+        sys.stdout.write(payload)
 
 
 def _envelope(command: str, config: dict) -> dict:
@@ -97,28 +100,21 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     layout = ProtocolLayout(n)
     client = _resolve_client(args.client, layout.client_ids, seed)
 
-    if args.mode == "enumerate":
-        reports = _reports(kinds, client)
-    else:
+    seeds = None
+    if args.mode == "sample":
         # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
-        trial_seeds = [int(trial_rng.integers(2**63)) for _ in range(args.trials)]
-        reports = _reports(kinds, client, trial_seeds)
-
-    # keep each branch's record, not its report with Bob's states
-    uniform = 4.0 ** (-n)
-    branches = []
-    min_fidelity, max_deviation = float("inf"), 0.0
-    for r in reports:
-        branches.append(
-            {
-                "outcome": [k.token for k in r.outcome],
-                "probability": r.probability,
-                "fidelity": r.fidelity_vs_client,
-            }
-        )
-        min_fidelity = min(min_fidelity, r.fidelity_vs_client)
-        max_deviation = max(max_deviation, abs(r.probability - uniform))
+        seeds = [int(trial_rng.integers(2**63)) for _ in range(args.trials)]
+    walk = _walk(kinds, client, seeds)
+    # one record per distinct leaf; Bob's corrected rows are not kept
+    fidelities = _correct(kinds, walk, client.amps)[1]
+    records = [
+        {"outcome": [k.token for k in outcome], "probability": p, "fidelity": f}
+        for outcome, p, f in zip(walk.outcomes, walk.probabilities, fidelities)
+    ]
+    if walk.trial_leaf is not None:
+        records = [records[i] for i in walk.trial_leaf]
+    min_fidelity = min(fidelities)
     payload = _envelope(
         "teleport",
         {
@@ -130,10 +126,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
             "seed": seed,
         },
     )
-    payload["branches"] = branches
+    payload["branches"] = records
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
-        "max_prob_deviation": max_deviation,
+        "max_prob_deviation": max(abs(p - 4.0**-n) for p in walk.probabilities),
     }
     _emit(payload, args.out)
     return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
@@ -151,14 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = _envelope("verify", {"format": "json"})
         payload["report"] = report.to_json_dict()
         payload["matches_golden"] = ok
-        _emit(payload, args.out)
     else:
-        text = report.to_text() + f"\nmatches_golden: {ok}\n"
-        if args.out:
-            with open(args.out, "w") as fp:
-                fp.write(text)
-        else:
-            print(text)
+        payload = report.to_text() + f"\nmatches_golden: {ok}\n"
+    _emit(payload, args.out)
     return 0 if ok else 1
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,7 +190,7 @@ def _pair_inverses(table: np.ndarray) -> np.ndarray:
 # the single-pair one for its own channel kind and outcome.
 _PAIR_CORRECTIONS = _single_pair_table()
 _PAIR_INVERSES = _pair_inverses(_PAIR_CORRECTIONS)
-# Leaves corrected per array step: bounds the corrected rows held at once.
+# Leaves corrected per array step: bounds the temporary rows held at once.
 _BLOCK_ROWS = 1024
 
 
@@ -247,49 +247,45 @@ def _walk(
     return walk_branches(total.qubits, total.amps, layout.measure_pairs, draws)
 
 
-def _reports(
-    kinds: ChannelSpec, client: PureState, seeds: Sequence[int] | None = None
-) -> Iterator[TeleportReport]:
-    """Reports of every branch (no ``seeds``), or of one sampled branch per
-    seed. Checks the inputs and walks the tree before it returns; each
-    distinct leaf's report is built once, and trials share them."""
-    layout = ProtocolLayout(len(kinds))
-    client = _check_client(client, layout)
-    walk = _walk(kinds, client, seeds)
-    reports = _leaf_reports(kinds, walk, client.amps)
-    if walk.trial_leaf is None:
-        return reports
-    built = list(reports)
-    return map(built.__getitem__, walk.trial_leaf)
-
-
-def _leaf_reports(
+def _correct(
     kinds: ChannelSpec, walk: Walk, reference: np.ndarray
-) -> Iterator[TeleportReport]:
-    """One report per leaf of ``walk``: Bob's corrected state and its fidelity
-    to the client amplitudes ``reference``.
+) -> tuple[np.ndarray, list[float]]:
+    """Bob's corrected state for each leaf of ``walk``, one row per leaf, and
+    each row's fidelity to the client amplitudes ``reference``.
 
     Leaf rows hold Bob's state on ids 1..n, so slot m is axis m. Each block of
     ``_BLOCK_ROWS`` rows is corrected at once: slot m's inverses act on axis m
     of every row in one elementwise ``einsum``, with no BLAS kernel, so a
     row's bits do not depend on the rows sharing its call.
     """
+    corrected = np.empty_like(walk.leaves)
     for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         outcomes, rows = walk.outcomes[block], walk.leaves[block]
         codes = np.array([[k.code for k in outcome] for outcome in outcomes])
-        corrected = rows
         for m, channel in enumerate(kinds):
             inverse = _PAIR_INVERSES[channel.code, codes[:, m]]
-            psi = corrected.reshape(len(rows), 2**m, 2, -1)
-            corrected = np.einsum("nrs,nasb->narb", inverse, psi).reshape(rows.shape)
-        fidelities = abs(np.einsum("ni,i->n", corrected.conj(), reference)) ** 2
+            psi = rows.reshape(len(rows), 2**m, 2, -1)
+            rows = np.einsum("nrs,nasb->narb", inverse, psi).reshape(len(rows), -1)
+        corrected[block] = rows
+    fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
+    return corrected, fidelities.tolist()
+
+
+def _leaf_reports(
+    kinds: ChannelSpec, walk: Walk, reference: np.ndarray
+) -> list[TeleportReport]:
+    """One report per leaf of ``walk``, in leaf order: its outcome and
+    probability, Bob's state before and after :func:`_correct`, and the
+    fidelity to the client amplitudes ``reference``."""
+    corrected, fidelities = _correct(kinds, walk, reference)
+    qubits = walk.qubits
+    return [
+        TeleportReport(outcome, p, PureState(qubits, pre), PureState(qubits, post), f)
         for outcome, p, pre, post, f in zip(
-            outcomes, walk.probabilities[block], rows, corrected, fidelities.tolist()
-        ):
-            yield TeleportReport(
-                outcome, p, PureState(walk.qubits, pre), PureState(walk.qubits, post), f
-            )
+            walk.outcomes, walk.probabilities, walk.leaves, corrected, fidelities
+        )
+    ]
 
 
 def run_protocol(
@@ -303,13 +299,13 @@ def run_protocol(
     ``enumerate`` returns all 4**n outcome branches (probabilities sum to 1);
     ``sample`` draws a single branch with the given seed.
     """
-    if mode == "enumerate":
-        return list(_reports(kinds, client))
-    if mode == "sample":
-        if seed is None:
-            raise ValueError("sample mode needs a seed")
-        return list(_reports(kinds, client, [seed]))
-    raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
+    if mode == "sample" and seed is None:
+        raise ValueError("sample mode needs a seed")
+    client = _check_client(client, ProtocolLayout(len(kinds)))
+    walk = _walk(kinds, client, None if mode == "enumerate" else [seed])
+    return _leaf_reports(kinds, walk, client.amps)
 
 
 # --- two-actor session over a byte transport ---
@@ -411,4 +407,4 @@ def run_session(
         )
     # Bob's corrections come from the frame, not from Alice's record
     walk = walk._replace(outcomes=[message.outcomes])
-    return next(_leaf_reports(kinds, walk, client.amps))
+    return _leaf_reports(kinds, walk, client.amps)[0]

@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
+import crossbell.teleport as teleport_module
+from crossbell import __version__
 from crossbell.bell import BellKind, cross_bell_state, parse_channel
 from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
-from crossbell.teleport import run_protocol
+from crossbell.teleport import ProtocolLayout, run_protocol
 from conftest import random_state
 
 
@@ -220,22 +222,91 @@ class TestTeleportCommand:
         assert code == 0
         assert payload["config"]["seed"] == 41
 
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys,
-            "teleport",
-            "--channel",
-            "psi+",
-            "--seed",
-            "5",
-            "--out",
-            str(path),
+    def test_builds_no_per_leaf_report(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("CLI teleport built a TeleportReport")
+
+        monkeypatch.setattr(teleport_module, "TeleportReport", refuse)
+        for mode in (["--mode", "enumerate"], ["--mode", "sample", "--trials", "50"]):
+            code, _, err = run_cli(
+                capsys, "teleport", "--channel", "phi+,psi-", "--seed", "3", *mode
+            )
+            assert code == 0, err
+
+        built = []
+        post_init = PureState.__post_init__
+
+        def counting(state):
+            built.append(state.qubits)
+            post_init(state)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting)
+        code, payload = run_json(
+            capsys, "teleport", "--channel", "phi+,psi-,phi-", "--seed", "3"
         )
+        assert code == 0 and len(payload["branches"]) == 4**3
+        assert 0 < len(built) < 4**3
+
+    @pytest.mark.parametrize(
+        "channel, trials",
+        [
+            ("psi+", None),
+            ("phi+,phi-", None),
+            ("phi-,psi+,phi+", None),
+            ("psi-,phi+,phi-,psi+", None),
+            ("phi-,psi+", 300),
+            ("psi+,phi-,psi-", 200),
+        ],
+    )
+    def test_stdout_equals_the_payload_built_from_reports(
+        self, capsys, channel, trials
+    ):
+        kinds, seed = parse_channel(channel), 13
+        n = len(kinds)
+        mode = "enumerate" if trials is None else "sample"
+        argv = ["teleport", "--channel", channel, "--seed", str(seed), "--mode", mode]
+        client = _resolve_client("random", ProtocolLayout(n).client_ids, seed)
+        if trials is None:
+            reports = run_protocol(kinds, client)
+        else:
+            argv += ["--trials", str(trials)]
+            trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
+            reports = [
+                run_protocol(
+                    kinds, client, mode="sample", seed=int(trial_rng.integers(2**63))
+                )[0]
+                for _ in range(trials)
+            ]
+        payload = {
+            "tool_version": __version__,
+            "schema_version": 1,
+            "command": "teleport",
+            "config": {
+                "n": n,
+                "channel": [k.token for k in kinds],
+                "client": "random",
+                "mode": mode,
+                "trials": trials,
+                "seed": seed,
+            },
+            "branches": [
+                {
+                    "outcome": [k.token for k in r.outcome],
+                    "probability": r.probability,
+                    "fidelity": r.fidelity_vs_client,
+                }
+                for r in reports
+            ],
+            "aggregate": {
+                "min_fidelity": min(r.fidelity_vs_client for r in reports),
+                "max_prob_deviation": max(
+                    abs(r.probability - 4.0**-n) for r in reports
+                ),
+            },
+        }
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == ""
-        payload = json.loads(path.read_text())
-        assert payload["command"] == "teleport"
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestVerifyCommand:
@@ -299,3 +370,32 @@ class TestExpandCommand:
             capsys, "expand", "--state", str(path), "--pairs", "1-2"
         )
         assert code == 2
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--channel", "psi+", "--seed", "5"],
+            ["verify"],
+            ["verify", "--format", "json"],
+            ["basis", "--n", "2"],
+            ["expand", "--state", "{state}", "--pairs", "1:2"],
+        ],
+        ids=["teleport", "verify-text", "verify-json", "basis", "expand"],
+    )
+    def test_out_file(self, capsys, tmp_path, rng, argv):
+        state = tmp_path / "pair.state"
+        with open(state, "w") as fp:
+            save_state(random_state((1, 2), rng), fp)
+        argv = [arg.format(state=state) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "report.out"
+        code_to_file, quiet, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == code_to_file == 0
+        assert quiet == ""
+        assert path.read_bytes() == out.encode()
+        if argv[0] == "verify" and "json" not in argv:
+            assert out.endswith("\nmatches_golden: True\n")
+        else:
+            assert json.loads(out)["command"] == argv[0]

@@ -35,7 +35,6 @@ from crossbell.teleport import (
     PipeEndpoint,
     ProtocolViolation,
     SessionAborted,
-    _reports,
     corrections_for,
     make_pipe,
     prepare_channel,
@@ -51,6 +50,14 @@ PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
 
 def random_client(n, rng) -> PureState:
     return random_state(ProtocolLayout(n).client_ids, rng)
+
+
+def sampled_reports(kinds, client, seeds) -> list:
+    """One report per trial: each distinct leaf's report, shared by the trials
+    that reach it."""
+    walk = teleport_module._walk(kinds, client, seeds)
+    leaves = teleport_module._leaf_reports(kinds, walk, client.amps)
+    return [leaves[i] for i in walk.trial_leaf]
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:
@@ -385,7 +392,7 @@ class TestRunProtocol:
         client = random_client(n, rng)
         seeds = [int(seed) for seed in rng.integers(2**63, size=120)]
         enumerated = {r.outcome: r for r in run_protocol(kinds, client)}
-        for seed, batched in zip(seeds, _reports(kinds, client, seeds)):
+        for seed, batched in zip(seeds, sampled_reports(kinds, client, seeds)):
             (single,) = run_protocol(kinds, client, mode="sample", seed=seed)
             for twin in (single, enumerated[batched.outcome]):
                 assert twin.outcome == batched.outcome
@@ -408,12 +415,12 @@ class TestRunProtocol:
 
         monkeypatch.setattr(teleport_module, "TeleportReport", counting)
         client = random_client(2, rng)
-        reports = list(_reports(PHI_CHANNEL, client, [5] * 30))
+        reports = sampled_reports(PHI_CHANNEL, client, [5] * 30)
         assert len(reports) == 30 and len(built) == 1
         assert all(r is reports[0] for r in reports)
         built.clear()
-        reports = list(
-            _reports((BellKind.PHI_PLUS,), random_client(1, rng), list(range(200)))
+        reports = sampled_reports(
+            (BellKind.PHI_PLUS,), random_client(1, rng), list(range(200))
         )
         assert len(reports) == 200
         assert len(built) == len(set(built)) == 4
