@@ -152,20 +152,18 @@ def expand_in_cross_bell(
     }
 
 
-_PAULI_BY_NAME = {"0": SIGMA_0, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+_MATRIX_BASE = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
 
 
 def pauli(name: str) -> np.ndarray:
     """Pauli matrix by short name: one of '0', 'x', 'y', 'z'."""
     try:
-        return _PAULI_BY_NAME[name].copy()
+        return _MATRIX_BASE["s" + name].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli name {name!r}") from None
 
 
 _MATRIX_TOKEN_RE = re.compile(r"^(-?)(i\*)?(s[0xyz])$")
-
-_MATRIX_BASE = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
 
 
 def parse_matrix_token(token: str) -> np.ndarray:

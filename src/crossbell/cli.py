@@ -104,7 +104,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if args.mode == "sample":
         # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
-        seeds = [int(trial_rng.integers(2**63)) for _ in range(args.trials)]
+        seeds = trial_rng.integers(2**63, size=args.trials).tolist()
     walk = _walk(kinds, client, seeds)
     # one record per distinct leaf; Bob's corrected rows are not kept
     fidelities = _correct(kinds, walk, client.amps)[1]

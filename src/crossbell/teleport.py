@@ -9,11 +9,11 @@ channel half n+m with client qubit 2n+m.
 branches. ``run_session`` realizes the same exchange as two actors talking
 over a byte transport; the only classical data that crosses it is one framed
 message of 2n bits naming the measurement outcomes. Alice's half runs to
-completion, then Bob's, on the caller's thread.
+completion, then Bob's, on the caller's thread. Their byte pipe serves that
+one thread: it is not thread-safe and never blocks.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +46,7 @@ class ProtocolViolation(Exception):
 
 
 class SessionAborted(Exception):
-    """The transport closed before a complete frame arrived."""
+    """A complete frame had not arrived when Bob read it, or the peer closed."""
 
 
 @dataclass(frozen=True)
@@ -312,41 +312,33 @@ def run_protocol(
 
 
 class PipeEndpoint:
-    """One end of an in-process, in-order, reliable duplex byte pipe."""
+    """One end of an in-process, in-order duplex byte pipe serving one thread:
+    not thread-safe, and ``recv`` never waits for bytes yet to be sent."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
         self._closed = False
-        self._cond = threading.Condition()
         self._peer: "PipeEndpoint | None" = None
 
     def send(self, data: bytes) -> None:
         peer = self._peer
         if peer is None:
             raise SessionAborted("endpoint is not paired")
-        with peer._cond:
-            if peer._closed:
-                raise SessionAborted("peer endpoint is closed")
-            peer._buf.extend(data)
-            peer._cond.notify_all()
+        if peer._closed:
+            raise SessionAborted("peer endpoint is closed")
+        peer._buf.extend(data)
 
     def recv(self, max_bytes: int) -> bytes:
-        """Blocking read of 1..max_bytes; b'' once closed and drained."""
-        with self._cond:
-            while not self._buf and not self._closed:
-                self._cond.wait()
-            chunk = bytes(self._buf[:max_bytes])
-            del self._buf[:max_bytes]
-            return chunk
+        """Up to max_bytes of the buffered bytes; b'' when none are buffered."""
+        chunk = bytes(self._buf[:max_bytes])
+        del self._buf[:max_bytes]
+        return chunk
 
     def close(self) -> None:
         """Close the link: both ends stop accepting writes and reads drain."""
         for end in (self, self._peer):
-            if end is None:
-                continue
-            with end._cond:
+            if end is not None:
                 end._closed = True
-                end._cond.notify_all()
 
 
 def make_pipe() -> tuple[PipeEndpoint, PipeEndpoint]:
@@ -356,15 +348,11 @@ def make_pipe() -> tuple[PipeEndpoint, PipeEndpoint]:
 
 
 def _recv_exact(endpoint: PipeEndpoint, count: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < count:
-        chunk = endpoint.recv(count - len(buf))
-        if not chunk:
-            raise SessionAborted(
-                f"transport closed after {len(buf)} of {count} bytes"
-            )
-        buf.extend(chunk)
-    return bytes(buf)
+    # the sender ran first on this thread, so no more bytes can arrive
+    data = endpoint.recv(count)
+    if len(data) < count:
+        raise SessionAborted(f"only {len(data)} of {count} frame bytes arrived")
+    return data
 
 
 def _recv_frame(endpoint: PipeEndpoint) -> bytes:

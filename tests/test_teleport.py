@@ -516,11 +516,43 @@ class TestRunSession:
                 PHI_CHANNEL, client, transport=(DiscardingEnd(), bob_end), seed=1
             )
 
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            "make_pipe()[0], make_pipe()[1]",
+            "DiscardingEnd(), make_pipe()[1]",
+        ],
+        ids=["ends-of-two-pipes", "discarding-alice-empty-bob"],
+    )
+    def test_frame_that_never_arrives_aborts(self, transport):
+        # on one thread a missing frame can only mean it was never sent; in
+        # a child process so that a hang fails by timeout, not stalls the suite
+        code = (
+            "import numpy as np\n"
+            "from crossbell.bell import BellKind\n"
+            "from crossbell.statevec import PureState\n"
+            "from crossbell.teleport import SessionAborted, make_pipe, run_session\n"
+            "class DiscardingEnd:\n"
+            "    def send(self, data):\n"
+            "        pass\n"
+            "    def close(self):\n"
+            "        pass\n"
+            "client = PureState((5, 6), np.array([1, 0, 0, 0], dtype=complex))\n"
+            "kinds = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)\n"
+            "try:\n"
+            f"    run_session(kinds, client, transport=({transport}), seed=1)\n"
+            "except SessionAborted:\n"
+            "    print('aborted')\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "aborted"
+
     def test_runs_on_the_callers_thread(self, rng, monkeypatch):
         def no_threads(*args, **kwargs):
             raise AssertionError("run_session started a thread")
 
-        monkeypatch.setattr("crossbell.teleport.threading.Thread", no_threads)
+        monkeypatch.setattr("threading.Thread", no_threads)
         client = random_client(2, rng)
         direct = run_protocol(PHI_CHANNEL, client, mode="sample", seed=5)[0]
         session = run_session(PHI_CHANNEL, client, seed=5)
