@@ -28,14 +28,15 @@ class MeasurementRecord:
 def _project_raw(
     qubits: tuple[int, ...], vec: np.ndarray, pair: tuple[int, int], kind: BellKind
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Projection guts on a raw (possibly unnormalized) canonical vector."""
+    """Projection guts on a raw (possibly unnormalized) canonical vector, or on
+    each column of a (2**len(qubits), k) array (BLAS may round those apart)."""
     lo, hi = min(pair), max(pair)
     ax_lo, ax_hi = qubits.index(lo), qubits.index(hi)
     bell = _BELL_AMPS[kind].reshape(2, 2).conj()
-    psi = vec.reshape([2] * len(qubits))
+    psi = vec.reshape([2] * len(qubits) + list(vec.shape[1:]))
     residual = np.tensordot(bell, psi, axes=([0, 1], [ax_lo, ax_hi]))
     remaining = tuple(q for q in qubits if q not in (lo, hi))
-    return remaining, residual.reshape(-1)
+    return remaining, residual.reshape((-1,) + vec.shape[1:])
 
 
 def _contract(

@@ -1,11 +1,12 @@
 """Brute-force ground truth: transfer matrices, correction derivation, and
 an audit of the shipped reference tables.
 
-Nothing here trusts the reference data. Corrections are recovered by feeding
-every client basis state through channel preparation and collapse, then
-factoring the resulting transfer matrix into signed Pauli slots. The audit
-diffs each reference table entry against that derivation and freezes the
-verdicts (see data/divergence_golden.json).
+Nothing here trusts the reference data. Corrections are recovered by joining
+the channel with all 2^n client basis states, the columns of one array, and
+projecting them with the oracle's own tensordot (not the walker's kernel),
+then factoring each transfer matrix into signed Pauli slots. The audit diffs
+each reference table entry against that derivation and freezes the verdicts
+(see data/divergence_golden.json).
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .statevec import (
     canonicalize,
     ket,
 )
-from .teleport import ProtocolLayout, prepare_channel, total_state
+from .teleport import ProtocolLayout, prepare_channel
 
 
 class FactorizationFailure(Exception):
@@ -67,32 +68,27 @@ def transfer_matrix(
     coefficients, for a fixed channel and measurement outcome."""
     layout = ProtocolLayout(len(kinds))
     channel = prepare_channel(kinds)
-    dim = 2**layout.n
-    matrix = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[j] = 1.0
-        total = total_state(channel, PureState(layout.client_ids, amps))
-        qubits, vec = total.qubits, total.amps
-        for pair, kind in zip(layout.measure_pairs, outcome):
-            qubits, vec = _project_raw(qubits, vec, pair, kind)
-        matrix[:, j] = vec
-    return matrix
+    # column j joins client |j>; the channel ids lie below the client ids
+    qubits = channel.qubits + layout.client_ids
+    columns = np.kron(channel.amps[:, None], np.eye(2**layout.n))
+    for pair, kind in zip(layout.measure_pairs, outcome):
+        qubits, columns = _project_raw(qubits, columns, pair, kind)
+    return columns
 
 
-def _proportionality(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:
-    """Scalar c with a == c * b, or None."""
+def _proportionality(a: np.ndarray, b: np.ndarray) -> complex | None:
+    """Scalar c with a == c * b to within CHAIN_TOL, or None."""
     flat_b = b.reshape(-1)
     idx = np.argmax(np.abs(flat_b))
-    if abs(flat_b[idx]) <= tol:
+    if abs(flat_b[idx]) <= CHAIN_TOL:
         return None
     c = complex(a.reshape(-1)[idx] / flat_b[idx])
-    return c if np.allclose(a, c * b, atol=tol) else None
+    return c if np.allclose(a, c * b, atol=CHAIN_TOL) else None
 
 
 def _unit_ratio(scaled: np.ndarray, factors: Sequence[np.ndarray]) -> complex | None:
     """Unit scalar c with scaled == c * (left kron fold of factors), or None."""
-    ratio = _proportionality(scaled, reduce(np.kron, factors), CHAIN_TOL)
+    ratio = _proportionality(scaled, reduce(np.kron, factors))
     if ratio is not None and abs(abs(ratio) - 1.0) <= CHAIN_TOL:
         return ratio
     return None
@@ -360,7 +356,7 @@ def _audit_eq6(report: DivergenceReport, scaled: dict) -> None:
             continue
         prop = None
         for lab, mat in scaled.items():
-            c = _proportionality(printed_map, 0.25 * mat, CHAIN_TOL)
+            c = _proportionality(printed_map, 0.25 * mat)
             if c is not None and abs(c.imag) <= CHAIN_TOL and c.real > 0:
                 prop = (lab, c.real)
                 break
@@ -402,8 +398,7 @@ def _audit_eq6(report: DivergenceReport, scaled: dict) -> None:
     report.summary["eq6_flip_consistent_lines"] = label_flips
 
 
-def _audit_eq7(report: DivergenceReport, tables: list) -> None:
-    printed = paper_correction_table()
+def _audit_eq7(report: DivergenceReport, printed: dict, tables: list) -> None:
     for (slot, kind), mat in printed.items():
         location = f"eq7.U{'35' if slot == 0 else '46'}.{kind.token}"
         printed_desc = format_matrix_token(mat)
@@ -433,7 +428,7 @@ def _audit_eq7(report: DivergenceReport, tables: list) -> None:
                 )
             )
             continue
-        c = _proportionality(mat, derived_here, CHAIN_TOL)
+        c = _proportionality(mat, derived_here)
         report.entries.append(
             DivergenceEntry(
                 location,
@@ -506,12 +501,11 @@ def _audit_eq4(report: DivergenceReport) -> None:
             )
 
 
-def _audit_eq9(report: DivergenceReport, tables: list) -> None:
+def _audit_eq9(report: DivergenceReport, printed: dict) -> None:
     claim = {
         loc: " ".join(rest)
         for loc, *rest in _read_data_lines("printed_misc.txt")
     }
-    printed = paper_correction_table()
     group35 = [printed[(0, k)] for k in KIND_ORDER]
     group46 = [printed[(1, k)] for k in KIND_ORDER]
     printed_holds = 0
@@ -570,11 +564,12 @@ def verify_paper_tables() -> DivergenceReport:
         for l in KIND_ORDER
     }
     tables = derive_correction_table(reference_channel)
+    printed = paper_correction_table()
     report = DivergenceReport()
     _audit_eq6(report, scaled)
-    _audit_eq7(report, tables)
+    _audit_eq7(report, printed, tables)
     _audit_eq4(report)
-    _audit_eq9(report, tables)
+    _audit_eq9(report, printed)
     report.summary["eq6_verdicts"] = report.verdict_counts("eq6.")
     report.summary["eq7_verdicts"] = report.verdict_counts("eq7.")
     report.summary["eq4_verdicts"] = report.verdict_counts("eq4.")

@@ -10,6 +10,7 @@ amplitudes.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -63,7 +64,10 @@ class PureState:
 
     def __post_init__(self) -> None:
         # zero qubits is legal: the scalar left after measuring everything
-        qubits = tuple(int(q) for q in self.qubits)
+        try:
+            qubits = tuple(map(operator.index, self.qubits))
+        except TypeError:
+            raise StateError(f"qubit ids must be integers, got {self.qubits}") from None
         if any(q < 1 for q in qubits):
             raise StateError(f"qubit ids must be positive, got {qubits}")
         if len(set(qubits)) != len(qubits):
@@ -120,15 +124,18 @@ def ket(assignments: Mapping[int, int]) -> PureState:
     """
     if not assignments:
         raise StateError("ket needs at least one qubit assignment")
-    qubits = sorted(int(q) for q in assignments)
-    if len(set(qubits)) != len(qubits):
-        raise DuplicateQubit(f"repeated qubit id in {sorted(assignments)}")
+    try:
+        bits = {operator.index(q): operator.index(b) for q, b in assignments.items()}
+    except TypeError:
+        raise StateError(f"ids and bits must be integers: {assignments}") from None
+    if len(bits) != len(assignments):
+        raise DuplicateQubit(f"repeated qubit id in {assignments}")
+    qubits = sorted(bits)
     index = 0
     for q in qubits:
-        bit = int(assignments[q])
-        if bit not in (0, 1):
-            raise StateError(f"bit for qubit {q} must be 0 or 1, got {assignments[q]}")
-        index = (index << 1) | bit
+        if bits[q] not in (0, 1):
+            raise StateError(f"bit for qubit {q} must be 0 or 1, got {bits[q]}")
+        index = (index << 1) | bits[q]
     amps = np.zeros(2 ** len(qubits), dtype=complex)
     amps[index] = 1.0
     return PureState(tuple(qubits), amps)
@@ -177,10 +184,10 @@ def fidelity(a: PureState, b: PureState) -> float:
     return abs(inner(a, b)) ** 2
 
 
-def is_unitary2(u: np.ndarray, tol: float = EXACT_TOL) -> bool:
-    """max |u u^dagger - I| <= tol, an absolute bound with no relative term."""
+def is_unitary2(u: np.ndarray) -> bool:
+    """max |u u^dagger - I| <= EXACT_TOL, an absolute bound with no relative term."""
     u = np.asarray(u, dtype=complex)
-    return u.shape == (2, 2) and bool(abs(u @ u.conj().T - SIGMA_0).max() <= tol)
+    return u.shape == (2, 2) and bool(abs(u @ u.conj().T - SIGMA_0).max() <= EXACT_TOL)
 
 
 def apply_local(

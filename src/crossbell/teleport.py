@@ -29,7 +29,6 @@ from .statevec import (
     canonicalize,
     cross,
     is_unitary2,
-    ket,
 )
 
 FRAME_MAGIC = b"XBEL"
@@ -159,16 +158,12 @@ def total_state(channel: PureState, client: PureState) -> PureState:
 def _single_pair_table() -> np.ndarray:
     """Scaled transfer matrices 2T of one-qubit teleportation, indexed
     [channel code, outcome code]: column j is Bob's unnormalized state after
-    the client |j> meets the channel and the sender's pair is measured."""
+    the sender's pair of kron(channel, |j>) is measured (client id 3 is last)."""
     layout = ProtocolLayout(1)
-    (client_id,), (pair,) = layout.client_ids, layout.measure_pairs
-    totals = [
-        total_state(prepare_channel((channel,)), ket({client_id: j}))
-        for channel in KIND_ORDER
-        for j in (0, 1)
-    ]
-    level = np.stack([total.amps for total in totals])
-    _, rows, _ = _contract(totals[0].qubits, level, pair)
+    channels = [prepare_channel((channel,)) for channel in KIND_ORDER]
+    level = np.concatenate([np.kron(ch.amps, np.eye(2)) for ch in channels])
+    qubits = channels[0].qubits + layout.client_ids
+    _, rows, _ = _contract(qubits, level, layout.measure_pairs[0])
     # rows[2 * c + j, k] is Bob's residual for channel c, client |j>, outcome k
     return 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
 

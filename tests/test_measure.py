@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from crossbell.bell import KIND_ORDER, BellKind, bell_state
 from crossbell.measure import (
     ZeroProbabilityOutcome,
+    _project_raw,
     bell_collapse,
     bell_measure,
     bell_probabilities,
@@ -14,7 +17,7 @@ from crossbell.measure import (
     walk_branches,
 )
 from crossbell.statevec import MissingQubit, PureState, ket, tensor
-from crossbell.teleport import prepare_channel, total_state
+from crossbell.teleport import ProtocolLayout, prepare_channel, total_state
 from conftest import random_state
 
 
@@ -55,6 +58,41 @@ class TestProbabilities:
     def test_missing_qubit(self):
         with pytest.raises(MissingQubit):
             bell_probabilities(ket({1: 0, 2: 0}), (1, 9))
+
+
+class TestProjectRaw:
+    @pytest.mark.parametrize(
+        "qubits, pair",
+        [((1, 2), (1, 2)), ((1, 2, 3, 4), (2, 4)), ((1, 2, 3, 4, 5), (5, 2))],
+    )
+    def test_array_columns_project_as_single_vectors(self, rng, qubits, pair):
+        # BLAS may order or fuse a wider array's sums differently (numpy picks
+        # its kernel by shape), so general columns agree with their
+        # single-vector projections to rounding
+        shape = (2 ** len(qubits), 6)
+        vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for kind in KIND_ORDER:
+            remaining, block = _project_raw(qubits, vecs, pair, kind)
+            assert block.shape == (2 ** (len(qubits) - 2), shape[1])
+            for j in range(shape[1]):
+                column = _project_raw(qubits, vecs[:, j].copy(), pair, kind)
+                assert column[0] == remaining
+                assert np.max(np.abs(column[1] - block[:, j])) <= 1e-14
+
+    def test_client_basis_columns_project_bit_for_bit(self):
+        # the oracle's input, the channel joined with each client basis
+        # state: each projected amplitude sums one nonzero term, so no order
+        # of summation can change a bit
+        layout = ProtocolLayout(2)
+        channel = prepare_channel((BellKind.PHI_PLUS, BellKind.PSI_MINUS))
+        start = channel.qubits + layout.client_ids
+        for outcome in product(KIND_ORDER, repeat=2):
+            qubits, block = start, np.kron(channel.amps[:, None], np.eye(4))
+            columns = list(block.T)
+            for pair, kind in zip(layout.measure_pairs, outcome):
+                columns = [_project_raw(qubits, c, pair, kind)[1] for c in columns]
+                qubits, block = _project_raw(qubits, block, pair, kind)
+            assert np.array_equal(block, np.stack(columns, axis=1))
 
 
 class TestCollapse:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from crossbell.bell import KIND_ORDER, BellKind, bell_state, paper_correction_table
-from crossbell import oracle
 from crossbell.oracle import (
     ArityError,
     DivergenceReport,
@@ -30,7 +29,14 @@ from crossbell.statevec import (
     PureState,
     ket,
 )
-from crossbell.teleport import ProtocolLayout, corrections_for, run_protocol
+from crossbell.measure import project_onto_bell
+from crossbell.teleport import (
+    ProtocolLayout,
+    corrections_for,
+    prepare_channel,
+    run_protocol,
+    total_state,
+)
 from conftest import random_state
 
 PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
@@ -57,6 +63,30 @@ class TestTransferMatrix:
             assert np.allclose(
                 scaled @ scaled.conj().T, np.eye(2**n), atol=1e-9
             )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_one_total_state_per_client_basis_state(self, n):
+        # reference: each client basis state joined to the channel with
+        # total_state, then one project_onto_bell per pair
+        layout = ProtocolLayout(n)
+        basis = np.eye(2**n, dtype=complex)
+        for kinds in product(KIND_ORDER, repeat=n):
+            channel = prepare_channel(kinds)
+            totals = [
+                total_state(channel, PureState(layout.client_ids, e)) for e in basis
+            ]
+            for outcome in product(KIND_ORDER, repeat=n):
+                expected = np.empty((2**n, 2**n), dtype=complex)
+                for j, state in enumerate(totals):
+                    scale = 1.0
+                    for pair, kind in zip(layout.measure_pairs, outcome):
+                        remaining, raw = project_onto_bell(state, pair, kind)
+                        norm = np.linalg.norm(raw)
+                        scale *= norm
+                        state = PureState(remaining, raw / norm)
+                    expected[:, j] = scale * state.amps
+                got = transfer_matrix(kinds, outcome)
+                assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_columns_are_collapsed_basis_clients(self, rng):
         # column j = unnormalized Bob amplitudes after projecting the total
@@ -256,13 +286,11 @@ class TestAudit:
             assert entry.verdict == "sign-mismatch"
             assert "(0, 0)" in entry.notes
 
-    def test_non_orthogonal_reference_matrix_raises(self, monkeypatch):
+    def test_non_orthogonal_reference_matrix_raises(self):
         printed = paper_correction_table()
         printed[(1, BellKind.PHI_PLUS)] = np.array([[1, 1], [0, 1]], dtype=complex)
-        monkeypatch.setattr(oracle, "paper_correction_table", lambda: printed)
-        tables = derive_correction_table(PHI_CHANNEL)
         with pytest.raises(FactorizationFailure):
-            _audit_eq9(DivergenceReport(), tables)
+            _audit_eq9(DivergenceReport(), printed)
 
     def test_inverse_rule_slot_order_flagged(self, report):
         entry = next(e for e in report.entries if e.location == "eq9.inverse")

@@ -78,8 +78,21 @@ class TestKet:
         assert np.array_equal(ket({5: 1, 6: 1}).amps, [0, 0, 0, 1])
 
     def test_bad_bit(self):
+        for bit in (2, 0.5):
+            with pytest.raises(StateError):
+                ket({1: bit})
+
+    def test_numpy_integers_pass(self):
+        s = ket({np.int64(2): np.int8(1), 1: 0})
+        assert s.qubits == (1, 2)
+        assert np.array_equal(s.amps, [0, 1, 0, 0])
+
+    def test_non_integral_ids_rejected_not_truncated(self):
+        # int() would read 1.9 as id 1 and 0.5 as bit 0
         with pytest.raises(StateError):
-            ket({1: 2})
+            PureState((1.9, 2), np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(StateError):
+            ket({2.7: 1})
 
 
 class TestTensor:

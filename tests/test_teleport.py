@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import crossbell
 import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
+from crossbell.measure import _contract
 from crossbell.statevec import (
     SIGMA_0,
     SIGMA_X,
@@ -298,6 +299,20 @@ class TestCorrectStep:
             assert np.array_equal(a.bob_pre_state.amps, b.bob_pre_state.amps)
             assert np.array_equal(a.bob_corrected.amps, b.bob_corrected.amps)
             assert a.fidelity_vs_client == b.fidelity_vs_client
+
+    def test_single_pair_table_equals_eight_basis_totals(self):
+        # reference: one validated total state per channel kind and client bit
+        layout = ProtocolLayout(1)
+        (client_id,), (pair,) = layout.client_ids, layout.measure_pairs
+        totals = [
+            total_state(prepare_channel((channel,)), ket({client_id: j}))
+            for channel in KIND_ORDER
+            for j in (0, 1)
+        ]
+        level = np.stack([total.amps for total in totals])
+        _, rows, _ = _contract(totals[0].qubits, level, pair)
+        expected = 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
+        assert np.array_equal(teleport_module._PAIR_CORRECTIONS, expected)
 
     def test_import_check_rejects_a_corrupted_single_pair_entry(self):
         table = teleport_module._PAIR_CORRECTIONS.copy()
