@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,20 +31,52 @@ MAX_BASIS_PARTIES = 5
 _PRESETS = ("zero", "ghz", "uniform")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CROSSBELL_SEED", "0"))
+def _resolve_seed(flag: int | None) -> int:
+    """``--seed`` if given, else CROSSBELL_SEED, else 0; an integer >= 0."""
+    if flag is not None:
+        source, text = "--seed", flag
+    else:
+        source, text = "CROSSBELL_SEED", os.environ.get("CROSSBELL_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be an integer >= 0, got {text!r}")
+    return seed
 
 
-def _emit(payload: dict | str, out: str | None) -> None:
-    """Write a JSON payload, or finished text, to ``out`` or else to stdout;
-    both get the same bytes."""
+def _emit(payload: dict | str | Iterable[str], out: str | None) -> None:
+    """Write a JSON payload, finished text, or text in pieces to ``out`` or
+    else to stdout; both get the same bytes."""
     if isinstance(payload, dict):
         payload = json.dumps(payload, indent=2) + "\n"
+    pieces = [payload] if isinstance(payload, str) else payload
     if out:
         with open(out, "w") as fp:
-            fp.write(payload)
+            fp.writelines(pieces)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
+
+
+def _branch_pieces(
+    payload: dict, records: list[dict], order: Iterable[int]
+) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\n"`` with the placeholder
+    ``payload["branches"] = None`` read as ``[records[i] for i in order]``, in
+    pieces. The records are encoded once, as one list, and indented to their
+    depth; record i's text is the piece of every ``i`` in ``order``."""
+    encoder = json.JSONEncoder(indent=2)
+    # string values escape their quotes, so only the key itself matches
+    head, _, tail = encoder.encode(payload).partition('"branches": null')
+    listed = encoder.encode(records)[1:-2].replace("\n", "\n  ")
+    # ",\n    {" occurs only between records: deeper lines indent further,
+    # and strings escape their newlines
+    texts = ["," + text for text in re.split(r",(?=\n    \{)", listed)]
+    order = iter(order)
+    yield head + '"branches": [' + texts[next(order)][1:]
+    yield from map(texts.__getitem__, order)
+    yield "\n  ]" + tail + "\n"
 
 
 def _envelope(command: str, config: dict) -> dict:
@@ -96,7 +129,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         raise ValueError(f"n must be in 1..{MAX_PARTIES}, got {n}")
     if args.trials < 1:
         raise ValueError("--trials must be positive")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _resolve_seed(args.seed)
     layout = ProtocolLayout(n)
     client = _resolve_client(args.client, layout.client_ids, seed)
 
@@ -104,7 +137,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if args.mode == "sample":
         # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
-        seeds = trial_rng.integers(2**63, size=args.trials).tolist()
+        seeds = trial_rng.integers(2**63, size=args.trials)
     walk = _walk(kinds, client, seeds)
     # one record per distinct leaf; Bob's corrected rows are not kept
     fidelities = _correct(kinds, walk, client.amps)[1]
@@ -112,8 +145,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         {"outcome": [k.token for k in outcome], "probability": p, "fidelity": f}
         for outcome, p, f in zip(walk.outcomes, walk.probabilities, fidelities)
     ]
-    if walk.trial_leaf is not None:
-        records = [records[i] for i in walk.trial_leaf]
     min_fidelity = min(fidelities)
     payload = _envelope(
         "teleport",
@@ -126,12 +157,13 @@ def cmd_teleport(args: argparse.Namespace) -> int:
             "seed": seed,
         },
     )
-    payload["branches"] = records
+    payload["branches"] = None  # streamed by _branch_pieces
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
         "max_prob_deviation": max(abs(p - 4.0**-n) for p in walk.probabilities),
     }
-    _emit(payload, args.out)
+    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(records))
+    _emit(_branch_pieces(payload, records, order), args.out)
     return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
 
 

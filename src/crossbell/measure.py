@@ -1,10 +1,14 @@
-"""Projective Bell measurement of a qubit pair inside a larger pure state.
+"""Projective Bell measurement of a qubit pair inside a larger pure state,
+one pair at a time or a whole outcome tree level by level.
 
 Sampling uses numpy's default PCG64 generator; a 64-bit seed fully determines
-every outcome sequence drawn from it.
+every outcome sequence drawn from it. A sampled path reads its draws from
+``default_rng(seed).random(n)``; :func:`_uniforms` computes those draws for
+many seeds in one array pass, bit for bit.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -163,6 +167,115 @@ def _normalize(rows: np.ndarray, norms: Sequence[float]) -> None:
     flat /= np.sqrt(norms)[:, None]
 
 
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 (a 128-bit LCG)
+_M32 = np.uint64(0xFFFFFFFF)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # (high, low) halves
+# Seeds drawn per array step: bounds the kernel's temporary arrays.
+_SEED_BLOCK = 8192
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each of ``count`` successive hash calls: the
+    running constant before and after it is multiplied by ``mult``."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+
+
+# No hash constant depends on the data: 4 + 12 pool hashes while the entropy
+# is mixed in, then 8 word hashes in generate_state(4, uint64).
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(value: np.ndarray, consts: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``seeds`` as uint64; a seed outside [0, 2**64) raises, never wraps."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValueError(f"seed {seeds.min()} is negative")
+        return seeds.astype(np.uint64)
+    seeds = [operator.index(s) for s in seeds]
+    for s in seeds:
+        if not 0 <= s < 2**64:
+            raise ValueError(f"seed {s} is outside [0, 2**64)")
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _generate_state(seeds: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed."""
+    # the entropy words of s < 2**32 are (s,), of larger s (low, high); the
+    # pool pads them with zeros to four either way
+    low = (seeds & _M32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    words = [low, (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    hashes = iter(_POOL_HASH)
+    pool = [_hash(w, next(hashes)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
+    # a uint64 word reads two uint32 words little-endian
+    return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4)]
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each ``a * b``, from 32-bit limbs."""
+    a0, a1 = a & _M32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    p01, p10, top = a0 * b1, a1 * b0, np.uint64(32)
+    mid = ((a0 * b0) >> top) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> top) + (p10 >> top) + (mid >> top)
+
+
+def _pcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, state * mult + inc mod 2**128, on (high, low) halves."""
+    m_hi, m_lo = _PCG_MULT
+    hi = _mulhi(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo)
+    lo = lo * np.uint64(m_lo)
+    new_lo = lo + inc[1]
+    return hi + inc[0] + (new_lo < lo), new_lo
+
+
+def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Row t is ``np.random.default_rng(seeds[t]).random(n)``, bit for bit.
+
+    The same stream computed as array work over all seeds: SeedSequence's
+    pool mixing and ``generate_state(4, uint64)``, PCG64 seeding, then n
+    XSL-RR 128/64 outputs, each scaled as ``random()`` scales it. Seeds must
+    lie in [0, 2**64), where SeedSequence takes one or two entropy words.
+    """
+    seeds = _seed_array(seeds)
+    out = np.empty((len(seeds), n))
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        block = slice(start, start + _SEED_BLOCK)
+        init_hi, init_lo, seq_hi, seq_lo = _generate_state(seeds[block])
+        inc = (
+            (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)),
+            (seq_lo << np.uint64(1)) | np.uint64(1),
+        )
+        # seeding: state = 0, step, add the initial state, step
+        lo = inc[1] + init_lo
+        hi, lo = _pcg_step(inc[0] + init_hi + (lo < init_lo), lo, inc)
+        for d in range(n):
+            hi, lo = _pcg_step(hi, lo, inc)
+            # XSL-RR: xor the halves, rotate right by the top 6 bits
+            x, rot = hi ^ lo, hi >> np.uint64(58)
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            out[block, d] = (x >> np.uint64(11)) * 2.0**-53
+    return out
+
+
 class Walk(NamedTuple):
     """The distinct leaves a walk reached, in order of first appearance."""
 
@@ -177,7 +290,7 @@ def walk_branches(
     qubits: tuple[int, ...],
     vec: np.ndarray,
     pairs: Sequence[tuple[int, int]],
-    draws: Sequence[Sequence[float]] | None = None,
+    draws: np.ndarray | Sequence[Sequence[float]] | None = None,
 ) -> Walk:
     """Measure ``pairs`` in turn on a normalized canonical vector, one level
     of the outcome tree at a time.
@@ -187,14 +300,18 @@ def walk_branches(
     every node keeps its four children, so the leaves come in lexicographic
     KIND_ORDER. With them, trial t follows one path: ``draws[t][d]`` picks
     its child at depth d as :func:`sample_kind` picks from ``rng.random()``.
-    Only the children some trial reaches are kept, so trials that share a
-    prefix share its nodes. A leaf's probability is the product of its
-    per-pair Born probabilities.
+    ``draws`` is a (trials, depth) array, or lists that convert to one; each
+    level reads its column. Only the children some trial reaches are kept,
+    so trials that share a prefix share its nodes. A leaf's probability is
+    the product of its per-pair Born probabilities.
     """
     level = vec.reshape(1, -1)
     outcomes: list[tuple[BellKind, ...]] = [()]
     probabilities = [1.0]
-    trial_node = None if draws is None else [0] * len(draws)
+    trial_node = None
+    if draws is not None:
+        draws = np.asarray(draws, dtype=float)
+        trial_node = [0] * len(draws)
     for depth, pair in enumerate(pairs):
         qubits, rows, probs = _contract(qubits, level, pair)
         table = probs.tolist()
@@ -206,9 +323,10 @@ def walk_branches(
             picked = range(len(level))
         else:
             index: dict[int, int] = {}
-            for t, node in enumerate(trial_node):
-                child = 4 * node + _pick(table[node], draws[t][depth])
-                trial_node[t] = index.setdefault(child, len(index))
+            trial_node = [
+                index.setdefault(4 * node + _pick(table[node], u), len(index))
+                for node, u in zip(trial_node, draws[:, depth].tolist())
+            ]
             picked = list(index)
             level = level[picked]
         born = [table[c >> 2][c & 3] for c in picked]

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
-from .measure import Walk, _contract, walk_branches
+from .measure import Walk, _contract, _uniforms, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
@@ -227,18 +227,25 @@ def _check_client(client: PureState, layout: ProtocolLayout) -> PureState:
 
 
 def _walk(
-    kinds: ChannelSpec, client: PureState, seeds: Sequence[int] | None = None
+    kinds: ChannelSpec,
+    client: PureState,
+    seeds: Sequence[int] | np.ndarray | None = None,
 ) -> Walk:
     """Every branch of the run (no ``seeds``), or one sampled path per seed,
-    walked from one total state. Trial t's draws are the first n uniforms of
-    ``default_rng(seeds[t])``, the ones n ``rng.random()`` calls give."""
+    walked from one total state.
+
+    Trial t's draws are ``default_rng(seeds[t]).random(n)``, the numbers n
+    ``rng.random()`` calls give. One seed draws them from its Generator; two
+    or more draw all rows in one :func:`_uniforms` pass, bit for bit the
+    same, which needs every seed in [0, 2**64).
+    """
     layout = ProtocolLayout(len(kinds))
     total = total_state(prepare_channel(kinds), client)
     draws = None
-    if seeds is not None:
-        draws = [
-            np.random.default_rng(seed).random(layout.n).tolist() for seed in seeds
-        ]
+    if seeds is not None and len(seeds) == 1:
+        draws = np.random.default_rng(seeds[0]).random((1, layout.n))
+    elif seeds is not None:
+        draws = _uniforms(seeds, layout.n)
     return walk_branches(total.qubits, total.amps, layout.measure_pairs, draws)
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossbell
 import crossbell.teleport as teleport_module
 from crossbell import __version__
 from crossbell.bell import BellKind, cross_bell_state, parse_channel
@@ -143,6 +148,29 @@ class TestTeleportCommand:
         assert len(payload["branches"]) == 1000
         assert elapsed < wall_bound_s
 
+    def test_peak_memory_of_many_trials_stays_within_twice_a_thousand(
+        self, tmp_path
+    ):
+        # each run is a fresh process, so its ru_maxrss is its own peak
+        src = str(Path(crossbell.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def peak_rss(trials):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "crossbell.cli", "teleport",
+                 "--channel", "phi-,psi+,phi+", "--mode", "sample",
+                 "--trials", str(trials), "--seed", "5",
+                 "--out", str(tmp_path / f"{trials}.json")],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            assert child.returncode == 0
+            return usage.ru_maxrss
+
+        assert peak_rss(100_000) <= 2 * peak_rss(1000)
+
     def test_client_file_resolves_in_ascending_id_order(self, tmp_path, rng):
         # ids 2 1: amplitude index 1 is q2=0, q1=1, i.e. |10> on ids 1 2
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -222,6 +250,27 @@ class TestTeleportCommand:
         assert code == 0
         assert payload["config"]["seed"] == 41
 
+    @pytest.mark.parametrize(
+        "seed_arg, env, source",
+        [
+            (["--seed", "-1"], None, "--seed"),
+            ([], "abc", "CROSSBELL_SEED"),
+            ([], "-3", "CROSSBELL_SEED"),
+        ],
+        ids=["negative-flag", "non-integer-env", "negative-env"],
+    )
+    def test_bad_seed_exits_2_naming_its_source(
+        self, capsys, monkeypatch, seed_arg, env, source
+    ):
+        if env is not None:
+            monkeypatch.setenv("CROSSBELL_SEED", env)
+        code, out, err = run_cli(
+            capsys, "teleport", "--channel", "psi+", "--client", "zero", *seed_arg
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {source} must be an integer >= 0" in err
+
     def test_builds_no_per_leaf_report(self, capsys, monkeypatch):
         def refuse(*args):
             raise RuntimeError("CLI teleport built a TeleportReport")
@@ -254,6 +303,8 @@ class TestTeleportCommand:
             ("phi+,phi-", None),
             ("phi-,psi+,phi+", None),
             ("psi-,phi+,phi-,psi+", None),
+            ("psi-", 1),
+            ("phi+,psi-", 2),
             ("phi-,psi+", 300),
             ("psi+,phi-,psi-", 200),
         ],

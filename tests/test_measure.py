@@ -4,11 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbell.bell import KIND_ORDER, BellKind, bell_state
 from crossbell.measure import (
     ZeroProbabilityOutcome,
     _project_raw,
+    _uniforms,
     bell_collapse,
     bell_measure,
     bell_probabilities,
@@ -273,3 +276,57 @@ class TestWalkBranches:
         assert walk.outcomes == [(BellKind.PSI_PLUS,)]
         with pytest.raises(ZeroProbabilityOutcome):
             walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
+
+    def test_draw_array_walks_as_the_same_draws_in_lists(self, rng):
+        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        draws = _uniforms([3, 11, 3, 40, 11, 3, 2**64 - 1], len(PAIRS))
+        as_array = walk_branches(s.qubits, s.amps, PAIRS, draws)
+        as_lists = walk_branches(s.qubits, s.amps, PAIRS, draws.tolist())
+        assert as_array.qubits == as_lists.qubits
+        assert as_array.outcomes == as_lists.outcomes
+        assert as_array.probabilities == as_lists.probabilities
+        assert as_array.trial_leaf == as_lists.trial_leaf
+        assert np.array_equal(as_array.leaves, as_lists.leaves)
+
+
+def generator_draws(seeds, n):
+    return np.array([draws_of(s, n) for s in seeds])
+
+
+class TestUniforms:
+    # one- and two-word entropies, and each side of 2**32 and 2**63
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_equal_each_seeds_generator_bit_for_bit(self, n):
+        assert np.array_equal(_uniforms(self.SEEDS, n), generator_draws(self.SEEDS, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+        st.integers(1, 7),
+    )
+    def test_any_seeds_in_range_match_their_generators(self, seeds, n):
+        assert np.array_equal(_uniforms(seeds, n), generator_draws(seeds, n))
+
+    def test_int64_and_uint64_arrays_match_python_ints(self):
+        # 9000 rows take more than one of the kernel's blocks
+        seeds = np.random.default_rng(8).integers(2**63, size=9000)
+        expected = generator_draws(seeds.tolist(), 3)
+        assert np.array_equal(_uniforms(seeds, 3), expected)
+        assert np.array_equal(_uniforms(seeds.astype(np.uint64), 3), expected)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            [5, -1],
+            [2**64],
+            [2**64 + 5],
+            np.array([5, -1], dtype=np.int64),
+            np.array([-(2**63)], dtype=np.int64),
+        ],
+        ids=["negative", "2**64", "above", "int64-negative", "int64-min"],
+    )
+    def test_seed_outside_the_uint64_range_raises_and_does_not_wrap(self, seeds):
+        with pytest.raises(ValueError, match="seed"):
+            _uniforms(seeds, 3)
