@@ -47,7 +47,7 @@ class BellKind(enum.Enum):
 
     @property
     def code(self) -> int:
-        """2-bit wire code: psi+=00, psi-=01, phi+=10, phi-=11."""
+        """2-bit outcome and wire code: psi+=00, psi-=01, phi+=10, phi-=11."""
         return KIND_ORDER.index(self)
 
     @classmethod
@@ -60,17 +60,9 @@ class BellKind(enum.Enum):
                 f"{[k.value for k in cls]}"
             ) from None
 
-    @classmethod
-    def from_code(cls, code: int) -> "BellKind":
-        return KIND_ORDER[code]
 
-
-KIND_ORDER: tuple[BellKind, ...] = (
-    BellKind.PSI_PLUS,
-    BellKind.PSI_MINUS,
-    BellKind.PHI_PLUS,
-    BellKind.PHI_MINUS,
-)
+# The member order is the code order: KIND_ORDER[code] is that code's kind.
+KIND_ORDER: tuple[BellKind, ...] = tuple(BellKind)
 
 # 4-dim amplitude patterns over |00>,|01>,|10>,|11> of an (a,b) pair, a < b.
 _BELL_AMPS = {
@@ -97,11 +89,13 @@ ChannelSpec = tuple[BellKind, ...]
 
 
 def parse_channel(text: str) -> ChannelSpec:
-    """Parse a comma-separated kind list, e.g. 'phi+,phi-'."""
-    kinds = tuple(BellKind.from_token(tok) for tok in text.split(",") if tok.strip())
-    if not kinds:
-        raise ValueError(f"no Bell kinds in {text!r}")
-    return kinds
+    """Parse a comma-separated kind list, e.g. 'phi+,phi-'; an empty position
+    raises rather than being skipped."""
+    tokens = text.split(",")
+    for position, tok in enumerate(tokens, 1):
+        if not tok.strip():
+            raise ValueError(f"empty Bell kind at position {position} in {text!r}")
+    return tuple(BellKind.from_token(tok) for tok in tokens)
 
 
 def bell_state(kind: BellKind, pair: tuple[int, int]) -> PureState:

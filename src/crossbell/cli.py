@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .bell import cross_bell_basis, expand_in_cross_bell, parse_channel
+from .bell import KIND_ORDER, cross_bell_basis, expand_in_cross_bell, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import (
     CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
@@ -141,9 +141,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     walk = _walk(kinds, client, seeds)
     # one record per distinct leaf; Bob's corrected rows are not kept
     fidelities = _correct(kinds, walk, client.amps)[1]
+    tokens = [k.token for k in KIND_ORDER]  # indexed by outcome code
     records = [
-        {"outcome": [k.token for k in outcome], "probability": p, "fidelity": f}
-        for outcome, p, f in zip(walk.outcomes, walk.probabilities, fidelities)
+        {"outcome": [tokens[c] for c in codes], "probability": p, "fidelity": f}
+        for codes, p, f in zip(walk.outcomes, walk.probabilities, fidelities)
     ]
     min_fidelity = min(fidelities)
     payload = _envelope(

@@ -1,5 +1,7 @@
 """Projective Bell measurement of a qubit pair inside a larger pure state,
-one pair at a time or a whole outcome tree level by level.
+one pair at a time or a whole outcome tree level by level. The tree walk
+names each outcome by its 2-bit code, the index into KIND_ORDER
+(``BellKind.code``) that the wire format also carries.
 
 Sampling uses numpy's default PCG64 generator; a 64-bit seed fully determines
 every outcome sequence drawn from it. A sampled path reads its draws from
@@ -277,10 +279,12 @@ def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
 
 
 class Walk(NamedTuple):
-    """The distinct leaves a walk reached, in order of first appearance."""
+    """The distinct leaves a walk reached, in order of first appearance.
+    Leaf i's path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``)
+    per measured pair, in measurement order."""
 
     qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
-    outcomes: list[tuple[BellKind, ...]]
+    outcomes: list[tuple[int, ...]]
     probabilities: list[float]
     leaves: np.ndarray  # row i: leaf i's normalized residual
     trial_leaf: list[int] | None  # sampled walks: the leaf each trial reached
@@ -298,7 +302,7 @@ def walk_branches(
     A level holds its distinct nodes as the rows of one array and contracts
     its pair for all of them in one :func:`_contract` call. Without ``draws``
     every node keeps its four children, so the leaves come in lexicographic
-    KIND_ORDER. With them, trial t follows one path: ``draws[t][d]`` picks
+    code order. With them, trial t follows one path: ``draws[t][d]`` picks
     its child at depth d as :func:`sample_kind` picks from ``rng.random()``.
     ``draws`` is a (trials, depth) array, or lists that convert to one; each
     level reads its column. Only the children some trial reaches are kept,
@@ -306,7 +310,7 @@ def walk_branches(
     the product of its per-pair Born probabilities.
     """
     level = vec.reshape(1, -1)
-    outcomes: list[tuple[BellKind, ...]] = [()]
+    outcomes: list[tuple[int, ...]] = [()]
     probabilities = [1.0]
     trial_node = None
     if draws is not None:
@@ -332,7 +336,7 @@ def walk_branches(
         born = [table[c >> 2][c & 3] for c in picked]
         for c, p in zip(picked, born):
             _check_possible(p, KIND_ORDER[c & 3], pair)
-        outcomes = [outcomes[c >> 2] + (KIND_ORDER[c & 3],) for c in picked]
+        outcomes = [outcomes[c >> 2] + (c & 3,) for c in picked]
         probabilities = [probabilities[c >> 2] * p for c, p in zip(picked, born)]
         _normalize(level, born)
     return Walk(qubits, outcomes, probabilities, level, trial_node)

@@ -11,7 +11,7 @@ each reference table entry against that derivation and freezes the verdicts
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from importlib import resources
 from itertools import product
@@ -204,13 +204,7 @@ class DivergenceEntry:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "printed": self.printed,
-            "derived": self.derived,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass

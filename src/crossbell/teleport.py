@@ -86,15 +86,17 @@ class ClassicalMessage:
     outcomes: tuple[BellKind, ...]
 
     def encode(self) -> bytes:
-        """Frame: 4-byte magic, version byte, n byte, 2-bit codes MSB-first."""
+        """Frame: 4-byte magic, version byte, n byte, then the 2-bit codes
+        MSB-first, read as one zero-padded big-endian integer."""
         n = len(self.outcomes)
         if not 1 <= n <= 255:
             raise ValueError(f"cannot frame {n} outcomes")
-        payload = bytearray(_payload_len(n))
-        for m, kind in enumerate(self.outcomes):
-            bitpos = 2 * m
-            payload[bitpos // 8] |= kind.code << (6 - bitpos % 8)
-        return FRAME_MAGIC + bytes([FRAME_VERSION, n]) + bytes(payload)
+        value = 0
+        for kind in self.outcomes:
+            value = value << 2 | kind.code
+        size = _payload_len(n)
+        payload = (value << 8 * size - 2 * n).to_bytes(size, "big")
+        return FRAME_MAGIC + bytes([FRAME_VERSION, n]) + payload
 
     @classmethod
     def decode(cls, frame: bytes) -> "ClassicalMessage":
@@ -110,17 +112,12 @@ class ClassicalMessage:
             raise ProtocolViolation(
                 f"frame length {len(frame)} != {expected} for n={n}"
             )
-        payload = frame[6:]
-        outcomes = []
-        for m in range(n):
-            bitpos = 2 * m
-            code = (payload[bitpos // 8] >> (6 - bitpos % 8)) & 0b11
-            outcomes.append(BellKind.from_code(code))
-        used_bits = 2 * n
-        for bitpos in range(used_bits, 8 * len(payload)):
-            if (payload[bitpos // 8] >> (7 - bitpos % 8)) & 1:
-                raise ProtocolViolation("nonzero padding bits")
-        return cls(tuple(outcomes))
+        padding = 8 * (expected - 6) - 2 * n
+        value = int.from_bytes(frame[6:], "big")
+        if value & ((1 << padding) - 1):
+            raise ProtocolViolation("nonzero padding bits")
+        value >>= padding
+        return cls(tuple(KIND_ORDER[value >> 2 * m & 3] for m in reversed(range(n))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +260,7 @@ def _correct(
     corrected = np.empty_like(walk.leaves)
     for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        outcomes, rows = walk.outcomes[block], walk.leaves[block]
-        codes = np.array([[k.code for k in outcome] for outcome in outcomes])
+        codes, rows = np.array(walk.outcomes[block]), walk.leaves[block]
         for m, channel in enumerate(kinds):
             inverse = _PAIR_INVERSES[channel.code, codes[:, m]]
             psi = rows.reshape(len(rows), 2**m, 2, -1)
@@ -274,6 +270,10 @@ def _correct(
     return corrected, fidelities.tolist()
 
 
+def _kinds(codes: Sequence[int]) -> tuple[BellKind, ...]:
+    return tuple(KIND_ORDER[c] for c in codes)
+
+
 def _leaf_reports(
     kinds: ChannelSpec, walk: Walk, reference: np.ndarray
 ) -> list[TeleportReport]:
@@ -281,11 +281,11 @@ def _leaf_reports(
     probability, Bob's state before and after :func:`_correct`, and the
     fidelity to the client amplitudes ``reference``."""
     corrected, fidelities = _correct(kinds, walk, reference)
-    qubits = walk.qubits
+    qubits, outcomes = walk.qubits, map(_kinds, walk.outcomes)
     return [
         TeleportReport(outcome, p, PureState(qubits, pre), PureState(qubits, post), f)
         for outcome, p, pre, post, f in zip(
-            walk.outcomes, walk.probabilities, walk.leaves, corrected, fidelities
+            outcomes, walk.probabilities, walk.leaves, corrected, fidelities
         )
     ]
 
@@ -386,7 +386,7 @@ def run_session(
 
     try:
         walk = _walk(kinds, client, [seed])
-        alice_end.send(ClassicalMessage(walk.outcomes[0]).encode())
+        alice_end.send(ClassicalMessage(_kinds(walk.outcomes[0])).encode())
     finally:
         alice_end.close()
 
@@ -396,5 +396,5 @@ def run_session(
             f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
         )
     # Bob's corrections come from the frame, not from Alice's record
-    walk = walk._replace(outcomes=[message.outcomes])
+    walk = walk._replace(outcomes=[tuple(k.code for k in message.outcomes)])
     return _leaf_reports(kinds, walk, client.amps)[0]

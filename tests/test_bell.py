@@ -171,6 +171,13 @@ class TestPauliAndTokens:
         with pytest.raises(ValueError):
             parse_channel("phi*,psi+")
 
+    @pytest.mark.parametrize(
+        "text, position", [("phi+,,phi-", 2), ("psi+,", 2), ("", 1), (" ,psi+", 1)]
+    )
+    def test_parse_channel_rejects_an_empty_position(self, text, position):
+        with pytest.raises(ValueError, match=f"position {position} "):
+            parse_channel(text)
+
 
 class TestReferenceCorrectionTable:
     def test_entries_match_reference_display(self):

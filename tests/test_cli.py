@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -202,6 +203,13 @@ class TestTeleportCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("channel", ["phi+,,phi-", "psi+,"])
+    def test_empty_channel_position_exits_2(self, capsys, channel):
+        code, out, err = run_cli(capsys, "teleport", "--channel", channel)
+        assert code == 2
+        assert out == ""
+        assert "empty Bell kind at position 2" in err
+
     def test_n_channel_disagreement_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "teleport", "--n", "3", "--channel", "phi+,phi-"
@@ -358,6 +366,15 @@ class TestTeleportCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestVersion:
+    def test_pyproject_version_equals_the_package_version(self):
+        # read by pattern: tomllib is not in the standard library before 3.11
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        versions = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+        assert versions == [__version__]
 
 
 class TestVerifyCommand:

@@ -209,12 +209,12 @@ class TestWalkBranches:
         assert walk.trial_leaf is None
         leaves = list(zip(walk.outcomes, walk.probabilities, walk.leaves))
         assert [leaf[0] for leaf in leaves] == [
-            (k1, k2) for k1 in KIND_ORDER for k2 in KIND_ORDER
+            (k1.code, k2.code) for k1 in KIND_ORDER for k2 in KIND_ORDER
         ]
         for outcome, probability, vec in leaves:
             state, expected = s, 1.0
-            for pair, kind in zip(PAIRS, outcome):
-                remaining, raw = project_onto_bell(state, pair, kind)
+            for pair, code in zip(PAIRS, outcome):
+                remaining, raw = project_onto_bell(state, pair, KIND_ORDER[code])
                 p = float(np.vdot(raw, raw).real)
                 expected *= p
                 state = PureState(remaining, raw / np.sqrt(p))
@@ -238,7 +238,7 @@ class TestWalkBranches:
             for pair in PAIRS:
                 kind = sample_kind(state, pair, sampler)
                 state = bell_collapse(state, pair, kind).residual
-                expected.append(kind)
+                expected.append(kind.code)
             assert outcome == tuple(expected)
             assert np.allclose(vec, state.amps, atol=1e-12)
 
@@ -273,7 +273,7 @@ class TestWalkBranches:
         ) / np.sqrt(2)
         s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
         walk = walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [0.7]])
-        assert walk.outcomes == [(BellKind.PSI_PLUS,)]
+        assert walk.outcomes == [(BellKind.PSI_PLUS.code,)]
         with pytest.raises(ZeroProbabilityOutcome):
             walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
 

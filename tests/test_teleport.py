@@ -102,6 +102,36 @@ class TestClassicalMessage:
         assert len(frame) == 7
         assert frame[6] == 0b00_11_00_00
 
+    @staticmethod
+    def reference_payload(kinds) -> bytes:
+        """The codes as one bit string, MSB-first, zero padded to whole bytes."""
+        bits = "".join(f"{k.code:02b}" for k in kinds)
+        size = (len(bits) + 7) // 8
+        return (int(bits, 2) << 8 * size - len(bits)).to_bytes(size, "big")
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bit_layout_and_padding(self, n):
+        # n = 1..9 covers padding widths 6, 4, 2 and 0 bits, each twice
+        kinds = tuple(KIND_ORDER[(3 * m + 1) % 4] for m in range(n))
+        frame = ClassicalMessage(kinds).encode()
+        assert frame[:6] == b"XBEL" + bytes([1, n])
+        assert frame[6:] == self.reference_payload(kinds)
+        padding = 8 * len(frame[6:]) - 2 * n
+        assert padding == (-2 * n) % 8
+        value = int.from_bytes(frame[6:], "big")
+        for bit in range(padding):
+            bad = (value | 1 << bit).to_bytes(len(frame) - 6, "big")
+            with pytest.raises(ProtocolViolation, match="padding"):
+                ClassicalMessage.decode(frame[:6] + bad)
+        assert ClassicalMessage.decode(frame).outcomes == kinds
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(KIND_ORDER), min_size=1, max_size=255))
+    def test_encode_equals_the_bit_string_reference(self, kinds):
+        frame = ClassicalMessage(tuple(kinds)).encode()
+        header = b"XBEL" + bytes([1, len(kinds)])
+        assert frame == header + self.reference_payload(kinds)
+
     def test_carries_exactly_two_bits_per_slot(self):
         for n in range(1, 8):
             frame = ClassicalMessage((BellKind.PHI_MINUS,) * n).encode()
@@ -276,7 +306,7 @@ class TestCorrectStep:
         for kinds in product(KIND_ORDER, repeat=n):
             walk = teleport_module._walk(kinds, client)
             reports = list(teleport_module._leaf_reports(kinds, walk, client.amps))
-            assert [r.outcome for r in reports] == walk.outcomes
+            assert [tuple(k.code for k in r.outcome) for r in reports] == walk.outcomes
             for report, pre in zip(reports, walk.leaves):
                 assert np.array_equal(report.bob_pre_state.amps, pre)
                 expected = recover(
