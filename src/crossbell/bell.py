@@ -25,6 +25,7 @@ from .statevec import (
     DuplicateQubit,
     PureState,
     QubitSetMismatch,
+    _close,
     canonicalize,
     cross,
     inner,
@@ -178,7 +179,7 @@ def format_matrix_token(mat: np.ndarray) -> str:
     """Inverse of :func:`parse_matrix_token` for signed (i-)Pauli matrices."""
     for base, ref in _MATRIX_BASE.items():
         for prefix, factor in (("", 1), ("-", -1), ("i*", 1j), ("-i*", -1j)):
-            if np.allclose(mat, factor * ref, atol=CHAIN_TOL):
+            if _close(mat, factor * ref, CHAIN_TOL):
                 return prefix + base
     raise ValueError("matrix is not a signed (i-)Pauli")
 

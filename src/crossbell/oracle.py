@@ -7,6 +7,10 @@ projecting them with the oracle's own tensordot (not the walker's kernel),
 then factoring each transfer matrix into signed Pauli slots. The audit diffs
 each reference table entry against that derivation and freezes the verdicts
 (see data/divergence_golden.json).
+
+One matcher, :func:`_ratio` (the scalar c with a == c * b to within
+CHAIN_TOL), answers both: the fit takes the first slot combination at a unit
+ratio, and each audit picks its verdict from the ratios of its candidates.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from importlib import resources
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .statevec import (
     SIGMA_Y,
     SIGMA_Z,
     PureState,
+    _close,
     canonicalize,
     ket,
 )
@@ -52,13 +57,9 @@ class ArityError(Exception):
     """An operation got a state with the wrong number of qubits."""
 
 
-# Canonical slot representatives: first nonzero entry (row-major) is +1.
-_SLOT_REPS = {
-    "s0": SIGMA_0,
-    "sx": SIGMA_X,
-    "i*sy": 1j * SIGMA_Y,
-    "sz": SIGMA_Z,
-}
+# Canonical slot representatives s0, sx, i*sy, sz: first nonzero entry
+# (row-major) is +1.
+_SLOT_REPS = (SIGMA_0, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
 
 def transfer_matrix(
@@ -76,32 +77,30 @@ def transfer_matrix(
     return columns
 
 
-def _proportionality(a: np.ndarray, b: np.ndarray) -> complex | None:
-    """Scalar c with a == c * b to within CHAIN_TOL, or None."""
+def _ratio(a: np.ndarray, b: np.ndarray) -> complex | None:
+    """Scalar c with a == c * b to within CHAIN_TOL, or None: the oracle's
+    one matcher."""
     flat_b = b.reshape(-1)
     idx = np.argmax(np.abs(flat_b))
     if abs(flat_b[idx]) <= CHAIN_TOL:
         return None
     c = complex(a.reshape(-1)[idx] / flat_b[idx])
-    return c if np.allclose(a, c * b, atol=CHAIN_TOL) else None
+    return c if _close(a, c * b, CHAIN_TOL) else None
 
 
-def _unit_ratio(scaled: np.ndarray, factors: Sequence[np.ndarray]) -> complex | None:
-    """Unit scalar c with scaled == c * (left kron fold of factors), or None."""
-    ratio = _proportionality(scaled, reduce(np.kron, factors))
-    if ratio is not None and abs(abs(ratio) - 1.0) <= CHAIN_TOL:
-        return ratio
-    return None
+def _is_one(c: complex | None) -> bool:
+    return c is not None and abs(c - 1.0) <= CHAIN_TOL
 
 
-def _factor_signed_paulis(
-    scaled: np.ndarray, n: int
-) -> tuple[list[np.ndarray], complex]:
-    """Factor a unitary into canonical slot matrices and a residual phase."""
-    for combo in product(_SLOT_REPS.values(), repeat=n):
-        ratio = _unit_ratio(scaled, combo)
-        if ratio is not None:
-            return [m.copy() for m in combo], ratio
+def _fit_slots(
+    scaled: np.ndarray, combos: Iterable[Sequence[np.ndarray]]
+) -> tuple[Sequence[np.ndarray], complex]:
+    """First slot combination whose Kronecker product (left fold) equals
+    ``scaled`` up to a unit scalar, and that scalar."""
+    for combo in combos:
+        c = _ratio(scaled, reduce(np.kron, combo))
+        if c is not None and abs(abs(c) - 1.0) <= CHAIN_TOL:
+            return combo, c
     raise FactorizationFailure("no signed Pauli product matches the transfer")
 
 
@@ -116,11 +115,10 @@ def derive_correction(
     """
     n = len(kinds)
     scaled = (2**n) * transfer_matrix(kinds, tuple(outcome))
-    if not np.allclose(scaled @ scaled.conj().T, np.eye(2**n), atol=CHAIN_TOL):
+    if not _close(scaled @ scaled.conj().T, np.eye(2**n), CHAIN_TOL):
         raise FactorizationFailure("scaled transfer matrix is not unitary")
-    slots, phase = _factor_signed_paulis(scaled, n)
-    slots[0] = phase * slots[0]
-    return slots
+    combo, phase = _fit_slots(scaled, product(_SLOT_REPS, repeat=n))
+    return [phase * combo[0]] + [m.copy() for m in combo[1:]]
 
 
 def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarray]]:
@@ -138,39 +136,21 @@ def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarra
         {BellKind.PSI_PLUS: base[m]} for m in range(n)
     ]
     for m in range(n):
-        for kind in KIND_ORDER:
-            if kind is BellKind.PSI_PLUS:
-                continue
-            outcome = tuple(
-                kind if j == m else BellKind.PSI_PLUS for j in range(n)
-            )
+        for kind in KIND_ORDER[1:]:
+            outcome = baseline[:m] + (kind,) + baseline[m + 1 :]
             scaled = (2**n) * transfer_matrix(kinds, outcome)
-            tables[m][kind] = _solve_slot(scaled, tables, m, n)
+            variants = (base[:m] + [rep] + base[m + 1 :] for rep in _SLOT_REPS)
+            combo, c = _fit_slots(scaled, variants)
+            tables[m][kind] = c * combo[m]
     for outcome in kind_tuples(n):
         scaled = (2**n) * transfer_matrix(kinds, outcome)
-        joint = tables[0][outcome[0]]
-        for m in range(1, n):
-            joint = np.kron(joint, tables[m][outcome[m]])
-        if not np.allclose(joint, scaled, atol=CHAIN_TOL):
+        joint = reduce(np.kron, (tables[m][k] for m, k in enumerate(outcome)))
+        if not _close(joint, scaled, CHAIN_TOL):
             raise FactorizationFailure(
                 f"slot tables are jointly inconsistent at outcome "
                 f"{[k.token for k in outcome]}"
             )
     return tables
-
-
-def _solve_slot(
-    scaled: np.ndarray,
-    tables: list[dict[BellKind, np.ndarray]],
-    m: int,
-    n: int,
-) -> np.ndarray:
-    base = [tables[j][BellKind.PSI_PLUS] for j in range(n)]
-    for rep in _SLOT_REPS.values():
-        ratio = _unit_ratio(scaled, base[:m] + [rep] + base[m + 1 :])
-        if ratio is not None:
-            return ratio * rep
-    raise FactorizationFailure(f"no signed Pauli solves slot {m}")
 
 
 def coefficient_matrix(state: PureState) -> np.ndarray:
@@ -268,22 +248,20 @@ def _parse_symbol_vector(text: str) -> np.ndarray:
     return mat
 
 
+_PHASE_SIGNS = {1: "+", -1: "-", 1j: "+i*", -1j: "-i*"}
+
+
 def _format_pattern(mat: np.ndarray) -> str:
     """Inverse of :func:`_parse_symbol_vector` for signed choice matrices."""
     toks = []
     for row in mat:
         idx = int(np.argmax(np.abs(row)))
         val = row[idx]
-        if np.isclose(val, 1):
-            toks.append("+" + _SYMBOLS[idx])
-        elif np.isclose(val, -1):
-            toks.append("-" + _SYMBOLS[idx])
-        elif np.isclose(val, 1j):
-            toks.append("+i*" + _SYMBOLS[idx])
-        elif np.isclose(val, -1j):
-            toks.append("-i*" + _SYMBOLS[idx])
-        else:
-            toks.append(f"({val})*{_SYMBOLS[idx]}")
+        sign = next(
+            (s for phase, s in _PHASE_SIGNS.items() if _close(val, phase, CHAIN_TOL)),
+            f"({val})*",
+        )
+        toks.append(sign + _SYMBOLS[idx])
     return ",".join(toks)
 
 
@@ -303,141 +281,96 @@ def _sign_distance(a: np.ndarray, b: np.ndarray) -> int | None:
 
 
 def _audit_eq6(report: DivergenceReport, scaled: dict) -> None:
-    lines = _read_data_lines("printed_eq6.txt")
     label_flips = 0
-    for location, k35, k46, prefactor, vector in lines:
+    for location, k35, k46, prefactor, vector in _read_data_lines("printed_eq6.txt"):
         label = (BellKind.from_token(k35), BellKind.from_token(k46))
-        printed_map = _parse_prefactor(prefactor) * _parse_symbol_vector(vector)
+        flip = (_FLIP[label[0]], _FLIP[label[1]])
+        pattern = _parse_symbol_vector(vector)
+        printed_map = _parse_prefactor(prefactor) * pattern
         printed_desc = f"{prefactor} * ({vector})"
-        derived_at_label = 0.25 * scaled[label]
         derived_desc = f"1/4 * ({_format_pattern(scaled[label])})"
-        if np.allclose(printed_map, derived_at_label, atol=CHAIN_TOL):
-            report.entries.append(
-                DivergenceEntry(location, printed_desc, derived_desc, VERDICT_MATCH)
-            )
-            continue
-        exact = [
-            lab
-            for lab, mat in scaled.items()
-            if np.allclose(printed_map, 0.25 * mat, atol=CHAIN_TOL)
-        ]
-        if exact:
-            lab = exact[0]
-            slot_ok = (lab[0] == _FLIP[label[0]], lab[1] == _FLIP[label[1]])
-            flipped = all(slot_ok)
-            if flipped:
-                label_flips += 1
-                note = (
-                    "printed vector equals the derived branch of the +/- "
-                    "flipped outcome label"
-                )
-            else:
-                broken = "first" if slot_ok[1] else "second"
-                note = (
-                    f"the printed {broken}-slot label is wrong even after the "
-                    "systematic +/- flip (duplicated label in the source block)"
-                )
-            report.entries.append(
-                DivergenceEntry(
-                    location,
-                    printed_desc + f" labeled ({k35},{k46})",
-                    f"1/4 * ({_format_pattern(scaled[lab])}) at label "
-                    f"({lab[0].token},{lab[1].token})",
-                    VERDICT_LABEL,
-                    note,
-                )
-            )
-            continue
-        prop = None
+        # each derived branch's positive real ratio to the printed map
+        ratios = {}
         for lab, mat in scaled.items():
-            c = _proportionality(printed_map, 0.25 * mat)
+            c = _ratio(printed_map, 0.25 * mat)
             if c is not None and abs(c.imag) <= CHAIN_TOL and c.real > 0:
-                prop = (lab, c.real)
-                break
-        if prop is not None:
-            lab, c = prop
-            flipped = lab == (_FLIP[label[0]], _FLIP[label[1]])
-            if flipped:
-                label_flips += 1
-            report.entries.append(
-                DivergenceEntry(
-                    location,
-                    printed_desc,
-                    f"1/4 * ({_format_pattern(scaled[lab])}) at label "
-                    f"({lab[0].token},{lab[1].token})",
-                    VERDICT_PREFACTOR,
-                    f"printed coefficients are {c:g}x the derived branch"
-                    + (
-                        "; label is also the +/- flipped one" if flipped else ""
-                    ),
+                ratios[lab] = c.real
+        exact = [lab for lab, c in ratios.items() if _is_one(c)]
+        lab = exact[0] if exact else next(iter(ratios), None)
+        if label in exact:
+            verdict, notes = VERDICT_MATCH, ""
+        elif lab is None:
+            # No branch matches even proportionally: report the nearest by signs.
+            verdict = VERDICT_SIGN
+            notes = "printed vector matches no derived branch"
+            dists = {
+                branch: d
+                for branch, mat in scaled.items()
+                if (d := _sign_distance(pattern, mat)) is not None
+            }
+            if dists:
+                k, l = near = min(dists, key=dists.get)
+                notes += (
+                    f"; nearest is label ({k.token},{l.token}) "
+                    f"at {dists[near]} sign flips"
                 )
+        else:
+            label_flips += lab == flip
+            derived_desc = (
+                f"1/4 * ({_format_pattern(scaled[lab])}) at label "
+                f"({lab[0].token},{lab[1].token})"
             )
-            continue
-        # No branch matches even proportionally: report the nearest by signs.
-        printed_pattern = _parse_symbol_vector(vector)
-        nearest = None
-        for lab, mat in scaled.items():
-            dist = _sign_distance(printed_pattern, mat)
-            if dist is not None and (nearest is None or dist < nearest[1]):
-                nearest = (lab, dist)
-        note = "printed vector matches no derived branch"
-        if nearest is not None:
-            note += (
-                f"; nearest is label ({nearest[0][0].token},{nearest[0][1].token}) "
-                f"at {nearest[1]} sign flips"
-            )
+            if exact:
+                verdict = VERDICT_LABEL
+                printed_desc += f" labeled ({k35},{k46})"
+                if lab == flip:
+                    notes = (
+                        "printed vector equals the derived branch of the +/- "
+                        "flipped outcome label"
+                    )
+                else:
+                    broken = "first" if lab[1] == flip[1] else "second"
+                    notes = (
+                        f"the printed {broken}-slot label is wrong even after the "
+                        "systematic +/- flip (duplicated label in the source block)"
+                    )
+            else:
+                verdict = VERDICT_PREFACTOR
+                notes = f"printed coefficients are {ratios[lab]:g}x the derived branch"
+                if lab == flip:
+                    notes += "; label is also the +/- flipped one"
         report.entries.append(
-            DivergenceEntry(location, printed_desc, derived_desc, VERDICT_SIGN, note)
+            DivergenceEntry(location, printed_desc, derived_desc, verdict, notes)
         )
     report.summary["eq6_flip_consistent_lines"] = label_flips
 
 
 def _audit_eq7(report: DivergenceReport, printed: dict, tables: list) -> None:
     for (slot, kind), mat in printed.items():
-        location = f"eq7.U{'35' if slot == 0 else '46'}.{kind.token}"
-        printed_desc = format_matrix_token(mat)
-        derived_here = tables[slot][kind]
-        derived_desc = format_matrix_token(derived_here)
-        if np.allclose(mat, derived_here, atol=CHAIN_TOL):
-            report.entries.append(
-                DivergenceEntry(
-                    location,
-                    f"slot {slot}: {printed_desc}",
-                    f"slot {slot}: {derived_desc}",
-                    VERDICT_MATCH,
-                )
-            )
-            continue
         other = 1 - slot
-        if np.allclose(mat, tables[other][kind], atol=CHAIN_TOL):
-            report.entries.append(
-                DivergenceEntry(
-                    location,
-                    f"slot {slot}: {printed_desc}",
-                    f"slot {slot}: {derived_desc}; printed matrix is exact at "
-                    f"slot {other}",
-                    VERDICT_LABEL,
-                    "matrix is entrywise exact but assigned to the other "
-                    "measurement slot",
-                )
+        printed_desc = f"slot {slot}: {format_matrix_token(mat)}"
+        derived_desc = f"slot {slot}: {format_matrix_token(tables[slot][kind])}"
+        c = _ratio(mat, tables[slot][kind])
+        if _is_one(c):
+            verdict, notes = VERDICT_MATCH, ""
+        elif _is_one(_ratio(mat, tables[other][kind])):
+            verdict = VERDICT_LABEL
+            derived_desc += f"; printed matrix is exact at slot {other}"
+            notes = (
+                "matrix is entrywise exact but assigned to the other "
+                "measurement slot"
             )
-            continue
-        c = _proportionality(mat, derived_here)
+        else:
+            verdict = VERDICT_SIGN
+            notes = "" if c is None else f"printed = ({c}) * derived"
+        location = f"eq7.U{'35' if slot == 0 else '46'}.{kind.token}"
         report.entries.append(
-            DivergenceEntry(
-                location,
-                f"slot {slot}: {printed_desc}",
-                f"slot {slot}: {derived_desc}",
-                VERDICT_SIGN,
-                "" if c is None else f"printed = ({c}) * derived",
-            )
+            DivergenceEntry(location, printed_desc, derived_desc, verdict, notes)
         )
 
 
-_GROUP_KINDS = {
-    "psi": (BellKind.PSI_PLUS, BellKind.PSI_MINUS),
-    "phi": (BellKind.PHI_PLUS, BellKind.PHI_MINUS),
-}
+# Cross-Bell coefficients of a pair as codes: psi+, psi- then phi+, phi-.
+_GROUP_CODES = {"psi": slice(0, 2), "phi": slice(2, 4)}
 
 
 def _audit_eq4(report: DivergenceReport) -> None:
@@ -445,29 +378,21 @@ def _audit_eq4(report: DivergenceReport) -> None:
     for location, lhs, line_sign, group1, group2 in _read_data_lines(
         "printed_eq4.txt"
     ):
-        patterns = lhs.split(",")
         holds_at = []
         for i, r in product((0, 1), repeat=2):
             env = {"i": i, "r": r, "!i": 1 - i, "!r": 1 - r, "i+r": i + r}
-            bits = [env[p] for p in patterns]
-            state = ket({1: bits[0], 2: bits[1], 3: bits[2], 4: bits[3]})
-            actual = expand_in_cross_bell(state, pairs)
+            state = ket(dict(zip((1, 2, 3, 4), (env[p] for p in lhs.split(",")))))
+            # 4x4 coefficients indexed by the two pairs' outcome codes
+            actual = np.reshape(
+                list(expand_in_cross_bell(state, pairs).values()), (4, 4)
+            )
             # a line sign is "+" or (-1)^e for an exponent e in env
             sign = 1.0
             if line_sign != "+":
                 sign = (-1.0) ** env[line_sign[len("(-1)^") :].strip("()")]
-            claimed = {
-                (g1, g2): 0.5 * sign
-                for g1 in _GROUP_KINDS[group1]
-                for g2 in _GROUP_KINDS[group2]
-            }
-            ok = all(
-                abs(actual.get(key, 0.0) - claimed.get(key, 0.0)) <= CHAIN_TOL
-                for key in set(actual) | set(claimed)
-                if abs(actual.get(key, 0.0)) > CHAIN_TOL
-                or abs(claimed.get(key, 0.0)) > CHAIN_TOL
-            )
-            if ok:
+            claimed = np.zeros((4, 4))
+            claimed[_GROUP_CODES[group1], _GROUP_CODES[group2]] = 0.5 * sign
+            if _close(actual, claimed, CHAIN_TOL):
                 holds_at.append((i, r))
         printed_desc = (
             f"|{lhs}> = 1/2 {line_sign} ({group1}+ + {group1}-) x "
@@ -477,22 +402,17 @@ def _audit_eq4(report: DivergenceReport) -> None:
             f"|{lhs}> = 1/2 ({group1}+ + (-1)^i {group1}-) "
             f"x ({group2}+ + (-1)^r {group2}-)"
         )
-        if holds_at == [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            report.entries.append(
-                DivergenceEntry(location, printed_desc, derived_desc, VERDICT_MATCH)
+        verdict, notes = VERDICT_MATCH, ""
+        if holds_at != [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            verdict = VERDICT_SIGN
+            notes = (
+                f"printed identity holds only at (i,r) in {holds_at}; the "
+                "alternating signs must sit on the minus kinds, not on the "
+                "whole line"
             )
-        else:
-            report.entries.append(
-                DivergenceEntry(
-                    location,
-                    printed_desc,
-                    derived_desc,
-                    VERDICT_SIGN,
-                    f"printed identity holds only at (i,r) in {holds_at}; the "
-                    "alternating signs must sit on the minus kinds, not on the "
-                    "whole line",
-                )
-            )
+        report.entries.append(
+            DivergenceEntry(location, printed_desc, derived_desc, verdict, notes)
+        )
 
 
 def _audit_eq9(report: DivergenceReport, printed: dict) -> None:
@@ -506,12 +426,12 @@ def _audit_eq9(report: DivergenceReport, printed: dict) -> None:
     for a in group35:
         for b in group46:
             inverse = np.linalg.inv(np.kron(a, b))
-            if not np.allclose(inverse, np.kron(a.T, b.T), atol=CHAIN_TOL):
+            if not _close(inverse, np.kron(a.T, b.T), CHAIN_TOL):
                 raise FactorizationFailure(
                     "a reference correction matrix is not real orthogonal: "
                     "(U_K x U_L)^-1 != U_K^T x U_L^T"
                 )
-            if np.allclose(inverse, np.kron(b.T, a.T), atol=CHAIN_TOL):
+            if _close(inverse, np.kron(b.T, a.T), CHAIN_TOL):
                 printed_holds += 1
     report.entries.append(
         DivergenceEntry(

@@ -21,6 +21,11 @@ import numpy as np
 EXACT_TOL = 1e-12
 CHAIN_TOL = 1e-9
 
+
+def _close(a, b, tol: float) -> bool:
+    """max |a - b| <= tol: the one comparison rule, absolute, with no relative term."""
+    return bool(np.abs(np.subtract(a, b)).max() <= tol)
+
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -185,9 +190,9 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 def is_unitary2(u: np.ndarray) -> bool:
-    """max |u u^dagger - I| <= EXACT_TOL, an absolute bound with no relative term."""
+    """u u^dagger equals I to within EXACT_TOL."""
     u = np.asarray(u, dtype=complex)
-    return u.shape == (2, 2) and bool(abs(u @ u.conj().T - SIGMA_0).max() <= EXACT_TOL)
+    return u.shape == (2, 2) and _close(u @ u.conj().T, SIGMA_0, EXACT_TOL)
 
 
 def apply_local(

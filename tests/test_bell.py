@@ -163,6 +163,12 @@ class TestPauliAndTokens:
     def test_token_round_trip(self, token):
         assert format_matrix_token(parse_matrix_token(token)) == token
 
+    def test_token_tolerance_is_absolute(self):
+        # CHAIN_TOL = 1e-9 with no relative term: 1e-10 off is sx, 1e-6 is not
+        assert format_matrix_token([[0, 1], [1 + 1e-10, 0]]) == "sx"
+        with pytest.raises(ValueError):
+            format_matrix_token([[0, 1], [1 + 1e-6, 0]])
+
     def test_parse_channel(self):
         assert parse_channel("phi+,phi-") == (
             BellKind.PHI_PLUS,

@@ -6,13 +6,24 @@ from itertools import product
 import numpy as np
 import pytest
 
-from crossbell.bell import KIND_ORDER, BellKind, bell_state, paper_correction_table
+from crossbell import oracle
+from crossbell.bell import (
+    KIND_ORDER,
+    BellKind,
+    _read_data_lines,
+    bell_state,
+    paper_correction_table,
+)
 from crossbell.oracle import (
     ArityError,
+    DivergenceEntry,
     DivergenceReport,
     FactorizationFailure,
+    _audit_eq6,
+    _audit_eq7,
     _audit_eq9,
-    _factor_signed_paulis,
+    _fit_slots,
+    _SLOT_REPS,
     coefficient_matrix,
     derive_correction,
     derive_correction_table,
@@ -133,7 +144,18 @@ class TestDeriveCorrection:
     def test_factorization_failure_on_non_pauli(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(FactorizationFailure):
-            _factor_signed_paulis(np.kron(hadamard, SIGMA_0), 2)
+            _fit_slots(np.kron(hadamard, SIGMA_0), product(_SLOT_REPS, repeat=2))
+
+    def test_the_documented_bound_is_the_bound(self):
+        # CHAIN_TOL = 1e-9 absolute: a 1e-6 deviation is refused even though
+        # numpy's default relative term would have let it through
+        near = np.array([[0, 1], [1 + 1e-10, 0]], dtype=complex)
+        combo, c = _fit_slots(near, product(_SLOT_REPS, repeat=1))
+        assert np.array_equal(combo[0], SIGMA_X)
+        assert abs(c - 1) <= 1e-9
+        far = np.array([[0, 1], [1 + 1e-6, 0]], dtype=complex)
+        with pytest.raises(FactorizationFailure):
+            _fit_slots(far, product(_SLOT_REPS, repeat=1))
 
 
 class TestDeriveCorrectionTable:
@@ -319,3 +341,89 @@ class TestAudit:
         text = report.to_text()
         for entry in report.entries:
             assert entry.location in text
+
+
+_FLIP_TOKEN = {"psi+": "psi-", "psi-": "psi+", "phi+": "phi-", "phi-": "phi+"}
+
+
+class TestAuditVerdictBranches:
+    """Entries the golden never reaches, pinned field by field."""
+
+    def test_eq6_relabelled_to_the_flipped_labels(self, monkeypatch):
+        relabelled = [
+            [location, _FLIP_TOKEN[k35], _FLIP_TOKEN[k46], prefactor, vector]
+            for location, k35, k46, prefactor, vector in _read_data_lines(
+                "printed_eq6.txt"
+            )
+        ]
+        monkeypatch.setattr(oracle, "_read_data_lines", lambda name: relabelled)
+        scaled = {
+            (k, l): 4.0 * transfer_matrix(PHI_CHANNEL, (k, l))
+            for k in KIND_ORDER
+            for l in KIND_ORDER
+        }
+        report = DivergenceReport()
+        _audit_eq6(report, scaled)
+        entries = {e.location: e for e in report.entries}
+        assert entries["eq6.line01"] == DivergenceEntry(
+            "eq6.line01", "1/4 * (+d,+g,-b,-a)", "1/4 * (+d,+g,-b,-a)", "match"
+        )
+        assert entries["eq6.line08"] == DivergenceEntry(
+            "eq6.line08",
+            "1/4 * (+g,-d,+a,-b) labeled (psi+,phi-)",
+            "1/4 * (+g,-d,+a,-b) at label (psi+,phi+)",
+            "label-mismatch",
+            "the printed first-slot label is wrong even after the systematic "
+            "+/- flip (duplicated label in the source block)",
+        )
+        assert entries["eq6.line16"] == DivergenceEntry(
+            "eq6.line16",
+            "1 * (+a,-b,+g,-d)",
+            "1/4 * (+a,-b,+g,-d) at label (phi+,phi+)",
+            "prefactor-mismatch",
+            "printed coefficients are 4x the derived branch",
+        )
+        assert entries["eq6.line02"] == DivergenceEntry(
+            "eq6.line02",
+            "1/4 * (+d,+g,+b,-a)",
+            "1/4 * (-d,+g,+b,-a)",
+            "sign-mismatch",
+            "printed vector matches no derived branch; nearest is label "
+            "(psi+,psi+) at 1 sign flips",
+        )
+        assert report.verdict_counts("eq6.") == {
+            "match": 13,
+            "sign-mismatch": 1,
+            "label-mismatch": 1,
+            "prefactor-mismatch": 1,
+        }
+        assert report.summary == {"eq6_flip_consistent_lines": 0}
+
+    def test_eq7_swapped_groups_match_and_a_negated_entry_is_a_sign_defect(self):
+        printed = paper_correction_table()
+        swapped = {(1 - slot, kind): mat for (slot, kind), mat in printed.items()}
+        swapped[(1, BellKind.PSI_PLUS)] = -swapped[(1, BellKind.PSI_PLUS)]
+        report = DivergenceReport()
+        _audit_eq7(report, swapped, derive_correction_table(PHI_CHANNEL))
+        sign = DivergenceEntry(
+            "eq7.U46.psi+",
+            "slot 1: -i*sy",
+            "slot 1: i*sy",
+            "sign-mismatch",
+            "printed = ((-1+0j)) * derived",
+        )
+        matches = [
+            DivergenceEntry(
+                location, f"slot {slot}: {token}", f"slot {slot}: {token}", "match"
+            )
+            for location, slot, token in [
+                ("eq7.U46.psi-", 1, "-sx"),
+                ("eq7.U46.phi+", 1, "sz"),
+                ("eq7.U46.phi-", 1, "-s0"),
+                ("eq7.U35.psi+", 0, "sx"),
+                ("eq7.U35.psi-", 0, "-i*sy"),
+                ("eq7.U35.phi+", 0, "s0"),
+                ("eq7.U35.phi-", 0, "-sz"),
+            ]
+        ]
+        assert report.entries == [sign] + matches

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import crossbell
 from crossbell.bell import BellKind, bell_state
 from crossbell.statevec import (
+    CHAIN_TOL,
+    EXACT_TOL,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
@@ -20,6 +25,7 @@ from crossbell.statevec import (
     QubitCollision,
     QubitSetMismatch,
     StateError,
+    _close,
     apply_local,
     canonicalize,
     cross,
@@ -388,3 +394,25 @@ class TestStateFile:
         except (StateError, ValueError):
             return
         assert isinstance(state, PureState)
+
+
+class TestOneComparisonRule:
+    def test_absolute_with_no_relative_term(self):
+        assert _close(1e6, 1e6 + 1e-10, CHAIN_TOL)
+        assert not _close(1e6, 1e6 + 1e-3, CHAIN_TOL)  # np.allclose passes it
+        assert _close(np.eye(2), np.eye(2) + 1e-13, EXACT_TOL)
+        assert not _close(np.eye(2), np.eye(2) + 2e-12, EXACT_TOL)
+        assert not _close([1.0, np.nan], [1.0, np.nan], CHAIN_TOL)
+
+    def test_no_numpy_closeness_calls_in_the_package(self):
+        # every comparison goes through _close, so EXACT_TOL and CHAIN_TOL
+        # are the only tolerances; allclose/isclose add a hidden rtol=1e-5
+        found = []
+        for path in sorted(Path(crossbell.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in ("allclose", "isclose"):
+                        found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []
