@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bell import _BELL_AMPS, _SQRT1_2, KIND_ORDER, BellKind, BellOutcome
-from .statevec import EXACT_TOL, MissingQubit, PureState, canonicalize
+from .statevec import EXACT_TOL, DuplicateQubit, MissingQubit, PureState, canonicalize
 
 
 class ZeroProbabilityOutcome(Exception):
@@ -99,6 +99,8 @@ def _pick(probs: Sequence[float], u: float) -> int:
 
 
 def _check_pair(s: PureState, pair: tuple[int, int]) -> PureState:
+    if pair[0] == pair[1]:
+        raise DuplicateQubit(f"measurement pair {pair} names qubit {pair[0]} twice")
     for q in pair:
         if q not in s.qubits:
             raise MissingQubit(f"qubit {q} not in state over {s.qubits}")

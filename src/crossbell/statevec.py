@@ -56,45 +56,80 @@ class NormalizationError(StateError):
     pass
 
 
+def _validated(
+    qubits: Sequence[int], amps, ndim: int
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The checks every PureState passes, run once over a whole block.
+
+    ``amps`` is one state's amplitudes (``ndim`` 1) or a (k, 2**n) block with
+    one state per row (``ndim`` 2). Returns the ids as ints and a read-only
+    (k, 2**n) copy of the amplitudes.
+    """
+    # zero qubits is legal: the scalar left after measuring everything
+    try:
+        ids = tuple(map(operator.index, qubits))
+    except TypeError:
+        raise StateError(f"qubit ids must be integers, got {qubits}") from None
+    if any(q < 1 for q in ids):
+        raise StateError(f"qubit ids must be positive, got {ids}")
+    if len(set(ids)) != len(ids):
+        raise DuplicateQubit(f"repeated qubit id in {ids}")
+    amps = np.asarray(amps, dtype=complex)
+    dim = 2 ** len(ids)
+    if amps.ndim != ndim or amps.shape[-1:] != (dim,):
+        raise StateError(
+            f"expected {dim} amplitudes for {len(ids)} qubits, got shape {amps.shape}"
+        )
+    block = amps.reshape(-1, dim).copy()
+    flat = block.view(np.float64)
+    norms = np.einsum("ki,ki->k", flat, flat)
+    deviation = abs(norms - 1.0)
+    # a row with a non-finite amplitude has a NaN or infinite deviation, so
+    # it fails this test too
+    if not deviation.max(initial=0.0) <= EXACT_TOL:
+        if not np.isfinite(flat).all():
+            raise StateError("amplitudes must be finite")
+        raise NormalizationError(
+            f"squared norm {float(norms[deviation > EXACT_TOL][0])!r} "
+            f"outside 1 +/- {EXACT_TOL}; "
+            "use PureState.renormalized to accept unnormalized input"
+        )
+    block.setflags(write=False)
+    return ids, block
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over an ordered tuple of qubit ids.
 
     ``qubits`` may be non-ascending (a raw tensor product); most consumers
-    want canonical (ascending) order, see :func:`canonicalize`.
+    want canonical (ascending) order, see :func:`canonicalize`. ``amps`` is a
+    read-only row view of a validated copy. States built together by
+    :meth:`rows` share that copy, so holding one of them (say, one report of
+    a walk) keeps the whole block alive.
     """
 
     qubits: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        # zero qubits is legal: the scalar left after measuring everything
-        try:
-            qubits = tuple(map(operator.index, self.qubits))
-        except TypeError:
-            raise StateError(f"qubit ids must be integers, got {self.qubits}") from None
-        if any(q < 1 for q in qubits):
-            raise StateError(f"qubit ids must be positive, got {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise DuplicateQubit(f"repeated qubit id in {qubits}")
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (2 ** len(qubits),):
-            raise StateError(
-                f"expected {2 ** len(qubits)} amplitudes for {len(qubits)} qubits, "
-                f"got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise StateError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > EXACT_TOL:
-            raise NormalizationError(
-                f"squared norm {norm_sq!r} outside 1 +/- {EXACT_TOL}; "
-                "use PureState.renormalized to accept unnormalized input"
-            )
-        amps = amps.copy()
-        amps.setflags(write=False)
+        qubits, block = _validated(self.qubits, self.amps, 1)
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", block[0])
+
+    @classmethod
+    def rows(cls, qubits: Sequence[int], block: np.ndarray) -> list["PureState"]:
+        """One state per row of a (k, 2**n) block, all over ``qubits``: the
+        checks of the one-state constructor, run as array operations over the
+        whole block, and one read-only copy whose rows the states view."""
+        qubits, block = _validated(qubits, block, 2)
+        states = []
+        for row in block:
+            state = object.__new__(cls)
+            object.__setattr__(state, "qubits", qubits)
+            object.__setattr__(state, "amps", row)
+            states.append(state)
+        return states
 
     @classmethod
     def renormalized(cls, qubits: Sequence[int], amps: np.ndarray) -> "PureState":

@@ -14,6 +14,7 @@ one thread: it is not thread-safe and never blocks.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,7 +143,17 @@ class TeleportReport:
 
 
 def prepare_channel(kinds: ChannelSpec) -> PureState:
-    """The shared 2n-qubit channel state on ids 1..2n."""
+    """The shared 2n-qubit channel state on ids 1..2n. States are immutable,
+    so the last ``_CHANNELS_KEPT`` channels asked for are built once each."""
+    return _channel(tuple(kinds))
+
+
+# Channels kept built: 256 KiB of amplitudes each at n = 7.
+_CHANNELS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_CHANNELS_KEPT)
+def _channel(kinds: ChannelSpec) -> PureState:
     layout = ProtocolLayout(len(kinds))
     return cross_bell_state(kinds, layout.channel_pairs)
 
@@ -271,7 +282,7 @@ def _correct(
 
 
 def _kinds(codes: Sequence[int]) -> tuple[BellKind, ...]:
-    return tuple(KIND_ORDER[c] for c in codes)
+    return tuple(map(KIND_ORDER.__getitem__, codes))
 
 
 def _leaf_reports(
@@ -281,11 +292,14 @@ def _leaf_reports(
     probability, Bob's state before and after :func:`_correct`, and the
     fidelity to the client amplitudes ``reference``."""
     corrected, fidelities = _correct(kinds, walk, reference)
-    qubits, outcomes = walk.qubits, map(_kinds, walk.outcomes)
+    # the corrected rows go once copied, so at most three blocks are held
+    post = PureState.rows(walk.qubits, corrected)
+    del corrected
+    pre = PureState.rows(walk.qubits, walk.leaves)
     return [
-        TeleportReport(outcome, p, PureState(qubits, pre), PureState(qubits, post), f)
-        for outcome, p, pre, post, f in zip(
-            outcomes, walk.probabilities, walk.leaves, corrected, fidelities
+        TeleportReport(_kinds(codes), p, before, after, f)
+        for codes, p, before, after, f in zip(
+            walk.outcomes, walk.probabilities, pre, post, fidelities
         )
     ]
 

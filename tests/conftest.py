@@ -5,9 +5,15 @@ qubit id, so they share no index arithmetic with the library under test.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crossbell
 from crossbell.bell import BellKind
 from crossbell.statevec import PureState
 
@@ -61,6 +67,17 @@ def random_state(ids, rng) -> PureState:
     n = len(ids)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState.renormalized(tuple(ids), amps)
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` under ``python -O``, which strips assert statements."""
+    src = str(Path(crossbell.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 @pytest.fixture

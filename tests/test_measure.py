@@ -19,7 +19,7 @@ from crossbell.measure import (
     sample_kind,
     walk_branches,
 )
-from crossbell.statevec import MissingQubit, PureState, ket, tensor
+from crossbell.statevec import DuplicateQubit, MissingQubit, PureState, ket, tensor
 from crossbell.teleport import ProtocolLayout, prepare_channel, total_state
 from conftest import random_state
 
@@ -61,6 +61,24 @@ class TestProbabilities:
     def test_missing_qubit(self):
         with pytest.raises(MissingQubit):
             bell_probabilities(ket({1: 0, 2: 0}), (1, 9))
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda s, pair: bell_probabilities(s, pair),
+            lambda s, pair: bell_collapse(s, pair, BellKind.PSI_PLUS),
+            lambda s, pair: sample_kind(s, pair, np.random.default_rng(0)),
+            lambda s, pair: bell_measure(s, pair, 0),
+            lambda s, pair: project_onto_bell(s, pair, BellKind.PSI_PLUS),
+        ],
+        ids=[
+            "bell_probabilities", "bell_collapse", "sample_kind", "bell_measure",
+            "project_onto_bell",
+        ],
+    )
+    def test_pair_naming_one_qubit_twice(self, measure):
+        with pytest.raises(DuplicateQubit, match=r"\(2, 2\)"):
+            measure(bell_state(BellKind.PSI_PLUS, (1, 2)), (2, 2))
 
 
 class TestProjectRaw:

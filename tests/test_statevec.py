@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import io
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,38 @@ from crossbell.statevec import (
     save_state,
     tensor,
 )
-from conftest import dict_bell, dict_product, dict_to_vector, random_state
+from conftest import (
+    dict_bell,
+    dict_product,
+    dict_to_vector,
+    random_state,
+    run_optimized,
+)
+
+
+def build_one(qubits, amps) -> PureState:
+    return PureState(qubits, amps)
+
+
+def build_in_block(qubits, amps) -> PureState:
+    """``amps`` as the middle row of a three-row batch whose outer rows are
+    valid, so a check that reads only row 0 lets a bad middle row through."""
+    amps = np.asarray(amps, dtype=complex)
+    valid = np.zeros_like(amps)
+    valid[..., 0] = 1.0
+    return PureState.rows(qubits, np.stack([valid, amps, valid]))[1]
+
+
+# Each rejection test runs every builder; a loop, not a parametrize, keeps
+# the tests' ids.
+BUILDERS = (build_one, build_in_block)
 
 
 class TestConstruction:
     def test_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            PureState((1,), np.array([1.0, 1.0]))
+        for build in BUILDERS:
+            with pytest.raises(NormalizationError, match=r"squared norm 2\.0 outside"):
+                build((1,), np.array([1.0, 1.0]))
 
     def test_renormalized_escape_hatch(self):
         s = PureState.renormalized((1,), np.array([1.0, 1.0]))
@@ -53,21 +79,57 @@ class TestConstruction:
             PureState.renormalized((1,), np.array([0.0, 1e-13]))
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(DuplicateQubit):
-            PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
+        for build in BUILDERS:
+            with pytest.raises(DuplicateQubit):
+                build((2, 2), np.array([1, 0, 0, 0], dtype=complex))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(StateError):
-            PureState((1,), np.array([np.nan, 0]))
+        for build, bad in product(BUILDERS, (np.nan, np.inf)):
+            with pytest.raises(StateError, match="finite"):
+                build((1,), np.array([bad, 0]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(StateError):
-            PureState((1, 2), np.array([1, 0], dtype=complex))
+        for build in BUILDERS:
+            with pytest.raises(StateError, match="expected 4 amplitudes"):
+                build((1, 2), np.array([1, 0], dtype=complex))
 
     def test_amps_are_immutable(self):
-        s = ket({1: 0})
-        with pytest.raises(ValueError):
-            s.amps[0] = 0.0
+        states = [ket({1: 1})]
+        states += [build((1,), np.array([0, 1], dtype=complex)) for build in BUILDERS]
+        for s in states:
+            with pytest.raises(ValueError):
+                s.amps[0] = 0.0
+            with pytest.raises(ValueError):
+                s.amps.setflags(write=True)
+
+    def test_rows_view_one_copy_of_the_block(self):
+        block = np.eye(4, dtype=complex)[1:]
+        states = PureState.rows([np.int64(1), 2], block)
+        block[:] = 0.0
+        assert [s.qubits for s in states] == [(1, 2)] * 3
+        assert all(type(q) is int for q in states[0].qubits)
+        assert np.array_equal([s.amps for s in states], np.eye(4)[1:])
+        assert states[0].amps.base is states[2].amps.base
+        assert PureState.rows((1,), np.empty((0, 2))) == []
+
+    def test_rows_rejects_a_single_vector(self):
+        with pytest.raises(StateError, match=r"got shape \(2,\)"):
+            PureState.rows((1,), np.array([1, 0], dtype=complex))
+
+    def test_batch_norm_check_survives_python_O(self):
+        # the checks are raises, not asserts, so python -O keeps them
+        code = (
+            "import numpy as np\n"
+            "from crossbell.statevec import NormalizationError, PureState\n"
+            "block = np.array([[1, 0], [1, 1], [0, 1]], dtype=complex)\n"
+            "try:\n"
+            "    PureState.rows((1,), block)\n"
+            "except NormalizationError:\n"
+            "    print('rejected')\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "rejected"
 
 
 class TestKet:
@@ -94,9 +156,10 @@ class TestKet:
         assert np.array_equal(s.amps, [0, 1, 0, 0])
 
     def test_non_integral_ids_rejected_not_truncated(self):
-        # int() would read 1.9 as id 1 and 0.5 as bit 0
-        with pytest.raises(StateError):
-            PureState((1.9, 2), np.array([1, 0, 0, 0], dtype=complex))
+        # int() would read 1.9 as id 1 and 2.7 as id 2
+        for build in BUILDERS:
+            with pytest.raises(StateError, match="integers"):
+                build((1.9, 2), np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(StateError):
             ket({2.7: 1})
 

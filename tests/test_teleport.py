@@ -4,18 +4,13 @@ import ast
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crossbell
 import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
 from crossbell.measure import _contract
@@ -44,7 +39,7 @@ from crossbell.teleport import (
     run_session,
     total_state,
 )
-from conftest import random_state
+from conftest import random_state, run_optimized
 
 PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
 
@@ -59,17 +54,6 @@ def sampled_reports(kinds, client, seeds) -> list:
     walk = teleport_module._walk(kinds, client, seeds)
     leaves = teleport_module._leaf_reports(kinds, walk, client.amps)
     return [leaves[i] for i in walk.trial_leaf]
-
-
-def run_optimized(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` under ``python -O``, which strips assert statements."""
-    src = str(Path(crossbell.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 class TestLayout:
@@ -204,6 +188,16 @@ class TestChannelAndTotal:
         assert got.dim == 64
         assert abs(got.norm() - 1.0) < 1e-12
 
+    def test_channel_is_built_once_and_read_only(self):
+        kinds = (BellKind.PSI_MINUS, BellKind.PHI_PLUS)
+        channel = prepare_channel(kinds)
+        assert prepare_channel(kinds) is channel
+        assert prepare_channel(list(kinds)) is channel
+        with pytest.raises(ValueError):
+            channel.amps[0] = 1.0
+        with pytest.raises(ValueError):
+            channel.amps.setflags(write=True)
+
     def test_total_state_is_product(self, rng):
         channel = prepare_channel(PHI_CHANNEL)
         client = random_client(2, rng)
@@ -318,6 +312,44 @@ class TestCorrectStep:
                 assert report.fidelity_vs_client == pytest.approx(
                     fidelity(expected, reference), abs=1e-12
                 )
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [*product(KIND_ORDER, repeat=1), *product(KIND_ORDER, repeat=2)]
+        + [tuple(np.random.default_rng(seed).choice(KIND_ORDER, size=n))
+           for n, seed in ((3, 31), (3, 32), (4, 41), (4, 42))],
+        ids=lambda kinds: ",".join(k.token for k in kinds),
+    )
+    def test_reports_hold_the_walk_and_correct_rows_bit_for_bit(self, rng, kinds):
+        client = random_client(len(kinds), rng)
+        reports = run_protocol(kinds, client)
+        walk = teleport_module._walk(kinds, client)
+        corrected, _ = teleport_module._correct(kinds, walk, client.amps)
+        assert len(reports) == len(walk.leaves) == len(corrected)
+        for report, pre, post in zip(reports, walk.leaves, corrected):
+            assert report.bob_pre_state.qubits == walk.qubits
+            assert report.bob_corrected.qubits == walk.qubits
+            assert np.array_equal(report.bob_pre_state.amps, pre)
+            assert np.array_equal(report.bob_corrected.amps, post)
+
+    def test_state_checks_per_enumerate_do_not_grow_with_n(self, rng, monkeypatch):
+        # the leaf states are checked in one batch, not one PureState each
+        calls = []
+        post_init = PureState.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting)
+        counts = []
+        for n in (2, 4):
+            kinds, client = (BellKind.PHI_MINUS,) * n, random_client(n, rng)
+            run_protocol(kinds, client)  # builds the channel
+            calls.clear()
+            run_protocol(kinds, client)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
         kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
