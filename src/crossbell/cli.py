@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,23 +59,43 @@ def _emit(payload: dict | str | Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
+# Trials whose record texts go out joined as one write.
+_TRIALS_PER_WRITE = 256
+
+# One branch record at its depth in json.dumps(payload, indent=2).
+_RECORD = (
+    '\n    {\n      "outcome": [\n        %s\n      ],\n'
+    '      "probability": %s,\n      "fidelity": %s\n    }'
+)
+
+
 def _branch_pieces(
-    payload: dict, records: list[dict], order: Iterable[int]
+    payload: dict, records: list[dict], order: Sequence[int]
 ) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\n"`` with the placeholder
     ``payload["branches"] = None`` read as ``[records[i] for i in order]``, in
-    pieces. The records are encoded once, as one list, and indented to their
-    depth; record i's text is the piece of every ``i`` in ``order``."""
-    encoder = json.JSONEncoder(indent=2)
+    pieces of up to ``_TRIALS_PER_WRITE`` records. ``order`` is not empty.
+
+    Each record (its keys ``outcome``, ``probability``, ``fidelity``, in that
+    order) is formatted once with the ``_RECORD`` template, from the texts
+    json itself writes: ``encode_basestring_ascii`` for a token and
+    ``float.__repr__`` for a finite float.
+    """
     # string values escape their quotes, so only the key itself matches
-    head, _, tail = encoder.encode(payload).partition('"branches": null')
-    listed = encoder.encode(records)[1:-2].replace("\n", "\n  ")
-    # ",\n    {" occurs only between records: deeper lines indent further,
-    # and strings escape their newlines
-    texts = ["," + text for text in re.split(r",(?=\n    \{)", listed)]
-    order = iter(order)
-    yield head + '"branches": [' + texts[next(order)][1:]
-    yield from map(texts.__getitem__, order)
+    head, _, tail = json.dumps(payload, indent=2).partition('"branches": null')
+    texts = [
+        _RECORD % (
+            ",\n        ".join(map(encode_basestring_ascii, r["outcome"])),
+            float.__repr__(r["probability"]),
+            float.__repr__(r["fidelity"]),
+        )
+        for r in records
+    ]
+    sep = head + '"branches": ['
+    for start in range(0, len(order), _TRIALS_PER_WRITE):
+        block = order[start : start + _TRIALS_PER_WRITE]
+        yield sep + ",".join(map(texts.__getitem__, block))
+        sep = ","
     yield "\n  ]" + tail + "\n"
 
 

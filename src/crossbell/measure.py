@@ -165,7 +165,7 @@ def _check_possible(p: float, kind: BellKind, pair: tuple[int, int]) -> None:
         )
 
 
-def _normalize(rows: np.ndarray, norms: Sequence[float]) -> None:
+def _normalize(rows: np.ndarray, norms: np.ndarray) -> None:
     """Divide each row in place by the root of its squared norm."""
     flat = rows.view(np.float64)
     flat /= np.sqrt(norms)[:, None]
@@ -283,13 +283,59 @@ def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
 class Walk(NamedTuple):
     """The distinct leaves a walk reached, in order of first appearance.
     Leaf i's path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``)
-    per measured pair, in measurement order."""
+    per measured pair, in measurement order. A sampled walk of two or more
+    trials picks every trial's child as array work; one trial picks with
+    :func:`_pick`, bit for bit the same."""
 
     qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
     outcomes: list[tuple[int, ...]]
     probabilities: list[float]
     leaves: np.ndarray  # row i: leaf i's normalized residual
     trial_leaf: list[int] | None  # sampled walks: the leaf each trial reached
+
+
+def _pick_rows(probs: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_pick` for every trial at once: the child ``4 * node[t] + k`` that
+    draw ``u[t]`` selects from row ``node[t]`` of the (N, 4) ``probs``.
+
+    ``np.cumsum`` adds in order, so its bits are ``_pick``'s ``acc += p``, and
+    acc never decreases, so the first k with ``u < acc[k]`` is the number of k
+    with ``acc[k] <= u``. Each column is gathered on its own, so no (T, 4)
+    array is made.
+    """
+    acc = np.cumsum(probs, axis=1).T.copy()  # row k: every node's acc[k]
+    count = (acc[0][node] <= u).astype(np.intp)
+    for column in acc[1:]:
+        count += column[node] <= u
+    short = count == 4
+    if short.any():
+        # the rounded sum fell short of u: the last kind above EXACT_TOL
+        last = 3 - np.argmax(probs[:, ::-1] > EXACT_TOL, axis=1)
+        count[short] = last[node[short]]
+    return 4 * node + count
+
+
+def _first_appearance(child: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``child`` (each in [0, size)) in order of first
+    appearance, and each entry's index into them."""
+    first = np.full(size, len(child))
+    np.minimum.at(first, child, np.arange(len(child)))
+    # a mask of each value's first entry reads them in order, with no sort
+    is_first = np.zeros(len(child), dtype=bool)
+    is_first[first[first < len(child)]] = True
+    picked = child[is_first]
+    rank = np.empty(size, dtype=np.intp)
+    rank[picked] = np.arange(len(picked))
+    return picked, rank[child]
+
+
+def _check_children(
+    born: np.ndarray, picked: np.ndarray, pair: tuple[int, int]
+) -> None:
+    """:func:`_check_possible` for each kept child, in child order."""
+    if born.min() <= EXACT_TOL:
+        i = np.flatnonzero(born <= EXACT_TOL)[0]
+        _check_possible(float(born[i]), KIND_ORDER[int(picked[i]) & 3], pair)
 
 
 def walk_branches(
@@ -306,39 +352,45 @@ def walk_branches(
     every node keeps its four children, so the leaves come in lexicographic
     code order. With them, trial t follows one path: ``draws[t][d]`` picks
     its child at depth d as :func:`sample_kind` picks from ``rng.random()``.
-    ``draws`` is a (trials, depth) array, or lists that convert to one; each
-    level reads its column. Only the children some trial reaches are kept,
-    so trials that share a prefix share its nodes. A leaf's probability is
-    the product of its per-pair Born probabilities.
+    ``draws`` is a (trials, depth) array, or lists that convert to one, with
+    at least one row; each level reads its column. Two or more rows pick as
+    array work (:func:`_pick_rows`); one row picks with :func:`_pick`, which
+    costs less for a single trial. Only the children some trial reaches are
+    kept, so trials that share a prefix share its nodes. A leaf's probability
+    is the product of its per-pair Born probabilities.
     """
     level = vec.reshape(1, -1)
     outcomes: list[tuple[int, ...]] = [()]
-    probabilities = [1.0]
+    probabilities = np.array([1.0])
     trial_node = None
     if draws is not None:
         draws = np.asarray(draws, dtype=float)
-        trial_node = [0] * len(draws)
+        if draws.ndim != 2 or len(draws) < 1 or draws.shape[1] != len(pairs):
+            raise ValueError(
+                f"draws must have shape (rows, {len(pairs)}) with rows >= 1, "
+                f"got {draws.shape}"
+            )
+        trial_node = np.zeros(len(draws), dtype=np.intp)
     for depth, pair in enumerate(pairs):
         qubits, rows, probs = _contract(qubits, level, pair)
-        table = probs.tolist()
         # child 4 * i + k is node i's child for KIND_ORDER[k]; the previous
         # level goes here, so at most two levels are held at once
         level = rows.reshape(-1, rows.shape[-1])
         del rows
-        if trial_node is None:
-            picked = range(len(level))
+        if draws is None:
+            picked = np.arange(len(level))
         else:
-            index: dict[int, int] = {}
-            trial_node = [
-                index.setdefault(4 * node + _pick(table[node], u), len(index))
-                for node, u in zip(trial_node, draws[:, depth].tolist())
-            ]
-            picked = list(index)
+            if len(draws) == 1:  # the one trial is at node 0
+                picked = np.array([_pick(probs[0].tolist(), float(draws[0, depth]))])
+            else:
+                picked, trial_node = _first_appearance(
+                    _pick_rows(probs, trial_node, draws[:, depth]), len(level)
+                )
             level = level[picked]
-        born = [table[c >> 2][c & 3] for c in picked]
-        for c, p in zip(picked, born):
-            _check_possible(p, KIND_ORDER[c & 3], pair)
-        outcomes = [outcomes[c >> 2] + (c & 3,) for c in picked]
-        probabilities = [probabilities[c >> 2] * p for c, p in zip(picked, born)]
+        born = probs.reshape(-1)[picked]
+        _check_children(born, picked, pair)
+        outcomes = [outcomes[c >> 2] + (c & 3,) for c in picked.tolist()]
+        probabilities = probabilities[picked >> 2] * born
         _normalize(level, born)
-    return Walk(qubits, outcomes, probabilities, level, trial_node)
+    trial_leaf = None if trial_node is None else trial_node.tolist()
+    return Walk(qubits, outcomes, probabilities.tolist(), level, trial_leaf)

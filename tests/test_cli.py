@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import crossbell
+import crossbell.cli as cli_module
 import crossbell.teleport as teleport_module
 from crossbell import __version__
 from crossbell.bell import BellKind, cross_bell_state, parse_channel
@@ -366,6 +367,26 @@ class TestTeleportCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    # where repr switches between fixed and exponent notation, and the
+    # extremes: the least subnormal, the largest double below 1
+    FLOATS = [5e-324, 1e-300, 2.5e-5, 1e-4, 0.1 + 0.2, 1 - 2**-53, 1.0, 1e16]
+
+    @pytest.mark.parametrize("length", [1, 8, 9], ids=["one", "block", "block+1"])
+    def test_record_template_writes_what_json_writes(self, monkeypatch, length):
+        monkeypatch.setattr(cli_module, "_TRIALS_PER_WRITE", 8)
+        tokens = ["phi+", "psi-", "psi+"]
+        records = [
+            {"outcome": tokens[: 1 + i % 3], "probability": p, "fidelity": f}
+            for i, (p, f) in enumerate(zip(self.FLOATS, self.FLOATS[::-1]))
+        ]
+        order = {1: [5], 8: list(range(8))[::-1], 9: list(range(8)) + [0]}[length]
+        payload = {"command": "teleport", "branches": None, "aggregate": {"x": 0.1}}
+        pieces = list(cli_module._branch_pieces(payload, records, order))
+        expected = dict(payload, branches=[records[i] for i in order])
+        assert "".join(pieces) == json.dumps(expected, indent=2) + "\n"
+        # one piece per block of trials, then the envelope's tail
+        assert len(pieces) == -(-length // 8) + 1
 
 
 class TestVersion:

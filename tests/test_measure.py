@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossbell.measure as measure_module
 from crossbell.bell import KIND_ORDER, BellKind, bell_state
 from crossbell.measure import (
     ZeroProbabilityOutcome,
+    _pick,
     _project_raw,
     _uniforms,
     bell_collapse,
@@ -294,6 +296,17 @@ class TestWalkBranches:
         assert walk.outcomes == [(BellKind.PSI_PLUS.code,)]
         with pytest.raises(ZeroProbabilityOutcome):
             walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
+        # psi- and phi- carry 1e-13 and 2e-13: in a longer walk, later trials
+        # reach both, and the first one reached is named
+        c_plus, c_phi = np.sqrt(1 - 3e-13), np.sqrt(2e-13)
+        pair_amps = np.array(
+            [c_plus + c_minus, c_phi, -c_phi, c_plus - c_minus], dtype=complex
+        ) / np.sqrt(2)
+        s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
+        draws = [[0.3], [0.7], [1 - 2.5e-13], [0.5], [1 - 1e-13]]
+        message = r"outcome psi- on pair \(1, 2\) has probability 1\.000e-13"
+        with pytest.raises(ZeroProbabilityOutcome, match=message):
+            walk_branches(s.qubits, s.amps, [(1, 2)], draws)
 
     def test_draw_array_walks_as_the_same_draws_in_lists(self, rng):
         s = random_state((1, 2, 3, 4, 5, 6), rng)
@@ -305,6 +318,88 @@ class TestWalkBranches:
         assert as_array.probabilities == as_lists.probabilities
         assert as_array.trial_leaf == as_lists.trial_leaf
         assert np.array_equal(as_array.leaves, as_lists.leaves)
+
+    @pytest.mark.parametrize(
+        "draws",
+        [np.full((3, 1), 0.5), np.full((3, 3), 0.5), np.empty((0, 2))],
+        ids=["too-few-columns", "extra-columns", "no-rows"],
+    )
+    def test_draws_of_the_wrong_shape_are_rejected(self, rng, draws):
+        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        with pytest.raises(ValueError, match=r"shape \(rows, 2\)"):
+            walk_branches(s.qubits, s.amps, PAIRS, draws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1e-3, 0.5, 1, 2, 7]),
+                st.sampled_from([1, -1, 1j]),
+            ),
+            min_size=16,
+            max_size=16,
+        ).filter(lambda cs: any(w for w, _ in cs)),
+        st.sampled_from([(), (0,), (1,), (0, 1)]),
+    )
+    def test_array_picks_equal_each_trials_one_row_walk(self, coefficients, short):
+        # Bell coefficients on (1, 2) then (3, 4), with zeros among them
+        vec = sum(
+            np.sqrt(w) * phase * tensor(
+                bell_state(k1, (1, 2)), bell_state(k2, (3, 4))
+            ).amps
+            for (w, phase), (k1, k2) in zip(coefficients, product(KIND_ORDER, repeat=2))
+        )
+        vec = vec / np.linalg.norm(vec)
+        pairs, qubits = ((1, 2), (3, 4)), (1, 2, 3, 4)
+        contract = measure_module._contract
+
+        def stub(qubits, level, pair):
+            # a short level: every row's sum falls below the top draws, so
+            # the fallback to the last possible kind fires
+            remaining, rows, probs = contract(qubits, level, pair)
+            if pairs.index(pair) in short:
+                probs = probs * (1 - 2**-20)
+            return remaining, rows, probs
+
+        def edges(row):
+            # the accumulated sums _pick compares against, and just below
+            acc, out = 0.0, [0.0, 1 - 2**-53]
+            for p in row:
+                acc += p
+                out += [acc, float(np.nextafter(acc, 0))]
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure_module, "_contract", stub)
+            remaining, rows, probs = stub(qubits, vec.reshape(1, -1), pairs[0])
+            # the level-2 nodes, normalized as the walk normalizes them (a
+            # node no draw can reach is divided by 1 instead of by 0)
+            nodes = rows[0].copy()
+            measure_module._normalize(nodes, np.where(probs[0] > 0, probs[0], 1.0))
+            below = stub(remaining, nodes, pairs[1])[2].tolist()
+            first = probs[0].tolist()
+            draws = [
+                (u1, u2)
+                for u1 in edges(first)
+                for u2 in edges(below[_pick(first, u1)])
+            ]
+            alone, kept = [], []
+            for row in draws:
+                try:
+                    alone.append(walk_branches(qubits, vec, pairs, [row]))
+                except ZeroProbabilityOutcome:
+                    continue  # a pick of a kind at or below EXACT_TOL
+                kept.append(row)
+            walk = walk_branches(qubits, vec, pairs, kept)
+        assert len(kept) >= 2
+        reached = [one.outcomes[0] for one in alone]
+        assert walk.outcomes == list(dict.fromkeys(reached))
+        assert walk.trial_leaf == [walk.outcomes.index(r) for r in reached]
+        for t, one in enumerate(alone):
+            assert one.trial_leaf == [0]
+            leaf = walk.trial_leaf[t]
+            assert walk.probabilities[leaf] == one.probabilities[0]
+            assert walk.leaves[leaf].tobytes() == one.leaves[0].tobytes()
 
 
 def generator_draws(seeds, n):
