@@ -8,6 +8,7 @@ reproduced from its output alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -245,7 +246,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crossbell",
         description="Cross-Bell teleportation simulator and table-audit oracle.",

@@ -338,22 +338,42 @@ def _check_children(
         _check_possible(float(born[i]), KIND_ORDER[int(picked[i]) & 3], pair)
 
 
+def _join(
+    qubits: tuple[int, ...], level: np.ndarray, pair: tuple[int, int], amps: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Each row of ``level`` joined with the 2-qubit state ``amps`` on
+    ``pair`` (over |00>..|11>, the smaller id first) in one broadcast
+    multiply, its two bits put in their places in ascending id order."""
+    lo, hi = min(pair), max(pair)
+    if lo == hi or lo in qubits or hi in qubits:
+        raise DuplicateQubit(f"cannot join pair {pair} onto qubits {qubits}")
+    joined = tuple(sorted(qubits + (lo, hi)))
+    ax_lo, ax_hi = joined.index(lo), joined.index(hi)
+    psi = level.reshape(len(level), 2**ax_lo, 1, 2 ** (ax_hi - ax_lo - 1), 1, -1)
+    return joined, (psi * amps.reshape(2, 1, 2, 1)).reshape(len(level), -1)
+
+
 def walk_branches(
     qubits: tuple[int, ...],
     vec: np.ndarray,
     pairs: Sequence[tuple[int, int]],
     draws: np.ndarray | Sequence[Sequence[float]] | None = None,
+    joins: Sequence[tuple[tuple[int, int], np.ndarray]] | None = None,
 ) -> Walk:
     """Measure ``pairs`` in turn on a normalized canonical vector, one level
     of the outcome tree at a time.
 
     A level holds its distinct nodes as the rows of one array and contracts
-    its pair for all of them in one :func:`_contract` call. Without ``draws``
-    every node keeps its four children, so the leaves come in lexicographic
-    code order. With them, trial t follows one path: ``draws[t][d]`` picks
-    its child at depth d as :func:`sample_kind` picks from ``rng.random()``.
-    ``draws`` is a (trials, depth) array, or lists that convert to one, with
-    at least one row; each level reads its column. Two or more rows pick as
+    its pair for all of them in one :func:`_contract` call. With ``joins``,
+    level d first joins the 2-qubit state ``joins[d]``, a (pair, 4
+    amplitudes) entry, onto every node (:func:`_join`), so a vector that is
+    a product with independent pairs is never built whole: each node holds
+    only the pairs joined so far. Without ``draws`` every node keeps its
+    four children, so the leaves come in lexicographic code order. With
+    them, trial t follows one path: ``draws[t][d]`` picks its child at depth
+    d as :func:`sample_kind` picks from ``rng.random()``. ``draws`` is a
+    (trials, depth) array, or lists that convert to one, with at least one
+    row; each level reads its column. Two or more rows pick as
     array work (:func:`_pick_rows`); one row picks with :func:`_pick`, which
     costs less for a single trial. Only the children some trial reaches are
     kept, so trials that share a prefix share its nodes. A leaf's probability
@@ -371,7 +391,11 @@ def walk_branches(
                 f"got {draws.shape}"
             )
         trial_node = np.zeros(len(draws), dtype=np.intp)
+    if joins is not None and len(joins) != len(pairs):
+        raise ValueError(f"{len(joins)} joins for {len(pairs)} measured pairs")
     for depth, pair in enumerate(pairs):
+        if joins is not None:
+            qubits, level = _join(qubits, level, *joins[depth])
         qubits, rows, probs = _contract(qubits, level, pair)
         # child 4 * i + k is node i's child for KIND_ORDER[k]; the previous
         # level goes here, so at most two levels are held at once

@@ -5,6 +5,11 @@ channel halves are n+1..2n, and the client state to teleport sits on
 2n+1..3n. Channel pair m entangles (m, n+m); measurement pair m joins the
 channel half n+m with client qubit 2n+m.
 
+The channel is a product of independent pairs, and Alice's m-th measurement
+touches only pair m and client qubit m. So a run never builds the
+2**(3n)-amplitude total state: it walks from the client's amplitudes and
+joins channel pair m onto every branch at the level that measures it.
+
 ``run_protocol`` is a pure function over all (or one sampled) outcome
 branches. ``run_session`` realizes the same exchange as two actors talking
 over a byte transport; the only classical data that crosses it is one framed
@@ -20,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
+from .bell import _BELL_AMPS, KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
 from .measure import Walk, _contract, _uniforms, walk_branches
 from .statevec import (
     PureState,
@@ -239,8 +244,12 @@ def _walk(
     client: PureState,
     seeds: Sequence[int] | np.ndarray | None = None,
 ) -> Walk:
-    """Every branch of the run (no ``seeds``), or one sampled path per seed,
-    walked from one total state.
+    """Every branch of the run (no ``seeds``), or one sampled path per seed.
+
+    The walk starts from the client's 2**n amplitudes, and level m first
+    joins channel pair m's Bell amplitudes onto every node, then measures
+    (n+m, 2n+m). Each level is thus the Born-rule projection of the joined
+    state, built up one pair at a time; no total state is made.
 
     Trial t's draws are ``default_rng(seeds[t]).random(n)``, the numbers n
     ``rng.random()`` calls give. One seed draws them from its Generator; two
@@ -248,13 +257,14 @@ def _walk(
     same, which needs every seed in [0, 2**64).
     """
     layout = ProtocolLayout(len(kinds))
-    total = total_state(prepare_channel(kinds), client)
+    client = canonicalize(client)
+    joins = [(p, _BELL_AMPS[k]) for p, k in zip(layout.channel_pairs, kinds)]
     draws = None
     if seeds is not None and len(seeds) == 1:
         draws = np.random.default_rng(seeds[0]).random((1, layout.n))
     elif seeds is not None:
         draws = _uniforms(seeds, layout.n)
-    return walk_branches(total.qubits, total.amps, layout.measure_pairs, draws)
+    return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
 
 
 def _correct(
@@ -264,18 +274,22 @@ def _correct(
     each row's fidelity to the client amplitudes ``reference``.
 
     Leaf rows hold Bob's state on ids 1..n, so slot m is axis m. Each block of
-    ``_BLOCK_ROWS`` rows is corrected at once: slot m's inverses act on axis m
-    of every row in one elementwise ``einsum``, with no BLAS kernel, so a
-    row's bits do not depend on the rows sharing its call.
+    ``_BLOCK_ROWS`` rows is corrected at once: with ``inv`` each row's
+    inverse for slot m, axis m becomes ``inv[:, 0] * psi[0] + inv[:, 1] *
+    psi[1]``, two broadcast multiply-adds of the inverse's columns. That is
+    elementwise, with no BLAS kernel, so a row's bits do not depend on the
+    rows sharing its call.
     """
     corrected = np.empty_like(walk.leaves)
     for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         codes, rows = np.array(walk.outcomes[block]), walk.leaves[block]
         for m, channel in enumerate(kinds):
-            inverse = _PAIR_INVERSES[channel.code, codes[:, m]]
-            psi = rows.reshape(len(rows), 2**m, 2, -1)
-            rows = np.einsum("nrs,nasb->narb", inverse, psi).reshape(len(rows), -1)
+            # axis 3 is s, the inverse's column and psi's bit m, in both
+            inv = _PAIR_INVERSES[channel.code, codes[:, m]][:, None, :, :, None]
+            psi = rows.reshape(len(rows), 2**m, 1, 2, -1)
+            rows = inv[:, :, :, 0] * psi[:, :, :, 0] + inv[:, :, :, 1] * psi[:, :, :, 1]
+            rows = rows.reshape(len(rows), -1)
         corrected[block] = rows
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
     return corrected, fidelities.tolist()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -32,6 +33,33 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert out, f"no stdout; stderr: {err}"
     return code, json.loads(out)
+
+
+# Runs argv[1:] and prints its exit code and ru_maxrss. A process started
+# from the test process carries that process's peak through fork and exec
+# into its own ru_maxrss, so the CLI is started from this small one instead.
+_PEAK_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(child.returncode, usage.ru_maxrss)\n"
+)
+
+
+def cli_peak_rss(*argv) -> int:
+    """Peak RSS (KiB) of ``crossbell argv`` in a fresh process; it must exit 0."""
+    src = str(Path(crossbell.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_LAUNCHER,
+         sys.executable, "-m", "crossbell.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True,
+    )
+    code, peak = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    return peak
 
 
 class TestTeleportCommand:
@@ -153,25 +181,28 @@ class TestTeleportCommand:
     def test_peak_memory_of_many_trials_stays_within_twice_a_thousand(
         self, tmp_path
     ):
-        # each run is a fresh process, so its ru_maxrss is its own peak
-        src = str(Path(crossbell.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-
         def peak_rss(trials):
-            child = subprocess.Popen(
-                [sys.executable, "-m", "crossbell.cli", "teleport",
-                 "--channel", "phi-,psi+,phi+", "--mode", "sample",
-                 "--trials", str(trials), "--seed", "5",
-                 "--out", str(tmp_path / f"{trials}.json")],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            return cli_peak_rss(
+                "teleport", "--channel", "phi-,psi+,phi+", "--mode", "sample",
+                "--trials", str(trials), "--seed", "5",
+                "--out", str(tmp_path / f"{trials}.json"),
             )
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-            assert child.returncode == 0
-            return usage.ru_maxrss
 
         assert peak_rss(100_000) <= 2 * peak_rss(1000)
+
+    def test_sampled_peak_memory_does_not_follow_the_joined_state(self, tmp_path):
+        # a sampled walk holds only the nodes its trials reach, each joined
+        # with the channel pairs measured so far, never the 2**21 total state
+        channel = ",".join((["phi+", "psi-", "phi-", "psi+"] * 2)[:MAX_PARTIES])
+
+        def peak_rss(*mode):
+            return cli_peak_rss(
+                "teleport", "--channel", channel, "--seed", "7", *mode,
+                "--out", str(tmp_path / "n7.json"),
+            )
+
+        sampled = peak_rss("--mode", "sample", "--trials", "1000")
+        assert sampled < 0.6 * peak_rss("--mode", "enumerate")
 
     def test_client_file_resolves_in_ascending_id_order(self, tmp_path, rng):
         # ids 2 1: amplitude index 1 is q2=0, q1=1, i.e. |10> on ids 1 2
@@ -396,6 +427,40 @@ class TestVersion:
         project = text.split("[project]", 1)[1].split("\n[", 1)[0]
         versions = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
         assert versions == [__version__]
+
+
+class TestParser:
+    def test_is_built_once_and_behaves_as_before_after_reuse(
+        self, capsys, monkeypatch
+    ):
+        # each build adds the sub-command parsers once
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(parser, **kwargs):
+            builds.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        cli_module.build_parser.cache_clear()
+        for seed in ("1", "2", "3"):
+            code, payload = run_json(
+                capsys, "teleport", "--channel", "phi+", "--seed", seed
+            )
+            assert code == 0 and payload["config"]["seed"] == int(seed)
+        assert builds == ["crossbell"]
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+        with pytest.raises(SystemExit) as bad_mode:
+            main(["teleport", "--channel", "phi+", "--mode", "both"])
+        assert bad_mode.value.code == 2
+        assert "invalid choice: 'both'" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "teleport", "--channel", "phi+,xx")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown Bell kind 'xx'")
+        assert builds == ["crossbell"]
 
 
 class TestVerifyCommand:

@@ -21,7 +21,9 @@ from crossbell.measure import (
     sample_kind,
     walk_branches,
 )
-from crossbell.statevec import DuplicateQubit, MissingQubit, PureState, ket, tensor
+from crossbell.statevec import (
+    DuplicateQubit, MissingQubit, PureState, cross, ket, tensor
+)
 from crossbell.teleport import ProtocolLayout, prepare_channel, total_state
 from conftest import random_state
 
@@ -318,6 +320,33 @@ class TestWalkBranches:
         assert as_array.probabilities == as_lists.probabilities
         assert as_array.trial_leaf == as_lists.trial_leaf
         assert np.array_equal(as_array.leaves, as_lists.leaves)
+
+    def test_joined_pairs_walk_as_the_joined_vector(self, rng):
+        # each pair lands between the qubits it is joined onto, not at an end
+        s = random_state((1, 3, 4, 6), rng)
+        factors = [random_state(pair, rng) for pair in ((2, 7), (5, 8))]
+        pairs = ((3, 7), (2, 6))
+        joins = [(f.qubits, f.amps) for f in factors]
+        draws = [draws_of(seed, len(pairs)) for seed in (5, 9, 5)]
+        whole = cross(s, *factors)
+        for rows in (None, draws[:1], draws):
+            walk = walk_branches(s.qubits, s.amps, pairs, rows, joins)
+            expected = walk_branches(whole.qubits, whole.amps, pairs, rows)
+            assert walk.qubits == expected.qubits == (1, 4, 5, 8)
+            assert walk.outcomes == expected.outcomes
+            assert walk.trial_leaf == expected.trial_leaf
+            assert np.allclose(
+                walk.probabilities, expected.probabilities, rtol=0, atol=1e-15
+            )
+            assert np.allclose(walk.leaves, expected.leaves, rtol=0, atol=1e-15)
+
+    def test_joins_must_add_new_qubits_one_pair_per_level(self, rng):
+        s = random_state((1, 3, 4, 6), rng)
+        pair_amps = random_state((2, 7), rng).amps
+        with pytest.raises(DuplicateQubit, match=r"pair \(3, 7\)"):
+            walk_branches(s.qubits, s.amps, [(1, 3)], None, [((3, 7), pair_amps)])
+        with pytest.raises(ValueError, match="1 joins for 2 measured pairs"):
+            walk_branches(s.qubits, s.amps, PAIRS, None, [((2, 7), pair_amps)])
 
     @pytest.mark.parametrize(
         "draws",

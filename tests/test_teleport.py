@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
-from crossbell.measure import _contract
+from crossbell.measure import _contract, bell_collapse
 from crossbell.statevec import (
     SIGMA_0,
     SIGMA_X,
@@ -54,6 +54,23 @@ def sampled_reports(kinds, client, seeds) -> list:
     walk = teleport_module._walk(kinds, client, seeds)
     leaves = teleport_module._leaf_reports(kinds, walk, client.amps)
     return [leaves[i] for i in walk.trial_leaf]
+
+
+def einsum_correct(kinds, walk, reference):
+    """Reference for ``_correct``: slot m's inverses act on axis m of each
+    block of rows through one ``einsum("nrs,nasb->narb")``, the form the
+    step took before its elementwise multiply-adds."""
+    corrected = np.empty_like(walk.leaves)
+    for start in range(0, len(walk.outcomes), teleport_module._BLOCK_ROWS):
+        block = slice(start, start + teleport_module._BLOCK_ROWS)
+        codes, rows = np.array(walk.outcomes[block]), walk.leaves[block]
+        for m, channel in enumerate(kinds):
+            inverse = teleport_module._PAIR_INVERSES[channel.code, codes[:, m]]
+            psi = rows.reshape(len(rows), 2**m, 2, -1)
+            rows = np.einsum("nrs,nasb->narb", inverse, psi).reshape(len(rows), -1)
+        corrected[block] = rows
+    fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
+    return corrected, fidelities.tolist()
 
 
 class TestLayout:
@@ -212,6 +229,30 @@ class TestChannelAndTotal:
         total = total_state(prepare_channel(PHI_CHANNEL), client)
         assert abs(total.amps[0b001100] - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_walk_is_the_born_projection_of_the_joined_state(self, rng, n):
+        # the walk joins each channel pair at its level; the reference
+        # collapses the whole total state one pair at a time
+        layout = ProtocolLayout(n)
+        client = random_client(n, rng)
+        for kinds in product(KIND_ORDER, repeat=n):
+            nodes = {(): (total_state(prepare_channel(kinds), client), 1.0)}
+            for pair in layout.measure_pairs:
+                nodes = {
+                    path + (kind.code,): (record.residual, p * record.probability)
+                    for path, (state, p) in nodes.items()
+                    for kind in KIND_ORDER
+                    for record in [bell_collapse(state, pair, kind)]
+                }
+            walk = teleport_module._walk(kinds, client)
+            assert walk.outcomes == list(nodes)
+            for (state, p), probability, row in zip(
+                nodes.values(), walk.probabilities, walk.leaves, strict=True
+            ):
+                assert state.qubits == walk.qubits
+                assert probability == pytest.approx(p, rel=0, abs=1e-12)
+                assert np.allclose(row, state.amps, rtol=0, atol=1e-12)
+
     def test_sixteen_equal_weight_branches(self, rng):
         from crossbell.bell import expand_in_cross_bell
 
@@ -331,6 +372,24 @@ class TestCorrectStep:
             assert report.bob_corrected.qubits == walk.qubits
             assert np.array_equal(report.bob_pre_state.amps, pre)
             assert np.array_equal(report.bob_corrected.amps, post)
+
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(1, None), (2, None), (3, None), (4, None), (3, 1000), (3, 1)],
+        ids=["enumerate-1", "enumerate-2", "enumerate-3", "enumerate-4",
+             "sample-1000", "sample-1"],
+    )
+    def test_elementwise_correction_equals_the_einsum_bit_for_bit(
+        self, rng, n, trials
+    ):
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        seeds = None if trials is None else rng.integers(2**63, size=trials)
+        walk = teleport_module._walk(kinds, client, seeds)
+        corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
+        expected, expected_fidelities = einsum_correct(kinds, walk, client.amps)
+        assert np.array_equal(corrected, expected)
+        assert np.array_equal(fidelities, expected_fidelities)
 
     def test_state_checks_per_enumerate_do_not_grow_with_n(self, rng, monkeypatch):
         # the leaf states are checked in one batch, not one PureState each
