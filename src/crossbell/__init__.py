@@ -62,4 +62,4 @@ from .teleport import (
     total_state,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -3,10 +3,11 @@ one pair at a time or a whole outcome tree level by level. The tree walk
 names each outcome by its 2-bit code, the index into KIND_ORDER
 (``BellKind.code``) that the wire format also carries.
 
-Sampling uses numpy's default PCG64 generator; a 64-bit seed fully determines
-every outcome sequence drawn from it. A sampled path reads its draws from
-``default_rng(seed).random(n)``; :func:`_uniforms` computes those draws for
-many seeds in one array pass, bit for bit.
+A sampled path reads one uniform draw per level. A run's draws come from
+:func:`_uniforms`: trial t's are the first n outputs of SplitMix64 seeded
+with its 64-bit seed, for one seed or many in one array pass, so the seed
+fully determines the path. The one-pair calls :func:`sample_kind` and
+:func:`bell_measure` draw from a numpy Generator instead.
 """
 from __future__ import annotations
 
@@ -171,32 +172,14 @@ def _normalize(rows: np.ndarray, norms: np.ndarray) -> None:
     flat /= np.sqrt(norms)[:, None]
 
 
-# numpy's SeedSequence (a pool of four uint32 words) and PCG64 (a 128-bit LCG)
-_M32 = np.uint64(0xFFFFFFFF)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # (high, low) halves
+# SplitMix64 (Steele, Lea and Flood 2014): the state step, the output
+# function's two multipliers, and its shifts (numpy scalars cost less per
+# operation than Python ints)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MULT1, _MULT2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 # Seeds drawn per array step: bounds the kernel's temporary arrays.
 _SEED_BLOCK = 8192
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) of each of ``count`` successive hash calls: the
-    running constant before and after it is multiplied by ``mult``."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
-
-
-# No hash constant depends on the data: 4 + 12 pool hashes while the entropy
-# is mixed in, then 8 word hashes in generate_state(4, uint64).
-_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hash(value: np.ndarray, consts: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    value = (value ^ consts[0]) * consts[1]
-    return value ^ (value >> np.uint32(16))
 
 
 def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -212,80 +195,38 @@ def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     return np.array(seeds, dtype=np.uint64)
 
 
-def _generate_state(seeds: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed."""
-    # the entropy words of s < 2**32 are (s,), of larger s (low, high); the
-    # pool pads them with zeros to four either way
-    low = (seeds & _M32).astype(np.uint32)
-    zero = np.zeros_like(low)
-    words = [low, (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    hashes = iter(_POOL_HASH)
-    pool = [_hash(w, next(hashes)) for w in words]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(hashes))
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASH)]
-    # a uint64 word reads two uint32 words little-endian
-    return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4)]
-
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of each ``a * b``, from 32-bit limbs."""
-    a0, a1 = a & _M32, a >> np.uint64(32)
-    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
-    p01, p10, top = a0 * b1, a1 * b0, np.uint64(32)
-    mid = ((a0 * b0) >> top) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> top) + (p10 >> top) + (mid >> top)
-
-
-def _pcg_step(
-    hi: np.ndarray, lo: np.ndarray, inc: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LCG step, state * mult + inc mod 2**128, on (high, low) halves."""
-    m_hi, m_lo = _PCG_MULT
-    hi = _mulhi(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo)
-    lo = lo * np.uint64(m_lo)
-    new_lo = lo + inc[1]
-    return hi + inc[0] + (new_lo < lo), new_lo
-
-
 def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """Row t is ``np.random.default_rng(seeds[t]).random(n)``, bit for bit.
+    """Row t holds the first n outputs of SplitMix64 seeded with ``seeds[t]``,
+    each scaled to [0, 1) as ``Generator.random`` scales a 64-bit word: its
+    top 53 bits times 2**-53.
 
-    The same stream computed as array work over all seeds: SeedSequence's
-    pool mixing and ``generate_state(4, uint64)``, PCG64 seeding, then n
-    XSL-RR 128/64 outputs, each scaled as ``random()`` scales it. Seeds must
-    lie in [0, 2**64), where SeedSequence takes one or two entropy words.
+    Output d of seed s mixes the state s + (d + 1) * _GAMMA mod 2**64, so
+    every output of every seed is one array pass in wrapping uint64
+    arithmetic. Seeds must lie in [0, 2**64).
     """
     seeds = _seed_array(seeds)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
     out = np.empty((len(seeds), n))
     for start in range(0, len(seeds), _SEED_BLOCK):
         block = slice(start, start + _SEED_BLOCK)
-        init_hi, init_lo, seq_hi, seq_lo = _generate_state(seeds[block])
-        inc = (
-            (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)),
-            (seq_lo << np.uint64(1)) | np.uint64(1),
-        )
-        # seeding: state = 0, step, add the initial state, step
-        lo = inc[1] + init_lo
-        hi, lo = _pcg_step(inc[0] + init_hi + (lo < init_lo), lo, inc)
-        for d in range(n):
-            hi, lo = _pcg_step(hi, lo, inc)
-            # XSL-RR: xor the halves, rotate right by the top 6 bits
-            x, rot = hi ^ lo, hi >> np.uint64(58)
-            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-            out[block, d] = (x >> np.uint64(11)) * 2.0**-53
+        z = seeds[block, None] + steps
+        # the reference output function: xor-shift-multiply twice, xor-shift
+        z ^= z >> _S30
+        z *= _MULT1
+        z ^= z >> _S27
+        z *= _MULT2
+        z ^= z >> _S31
+        out[block] = (z >> _S11) * 2.0**-53
     return out
 
 
 class Walk(NamedTuple):
     """The distinct leaves a walk reached, in order of first appearance.
     Leaf i's path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``)
-    per measured pair, in measurement order. A sampled walk of two or more
-    trials picks every trial's child as array work; one trial picks with
-    :func:`_pick`, bit for bit the same."""
+    per measured pair, in measurement order. A sampled walk follows the
+    caller's draws, one row per trial (a run's rows come from
+    :func:`_uniforms`). Two or more trials pick every trial's child as array
+    work; one trial picks with :func:`_pick`, bit for bit the same."""
 
     qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
     outcomes: list[tuple[int, ...]]

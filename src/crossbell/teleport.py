@@ -251,19 +251,15 @@ def _walk(
     (n+m, 2n+m). Each level is thus the Born-rule projection of the joined
     state, built up one pair at a time; no total state is made.
 
-    Trial t's draws are ``default_rng(seeds[t]).random(n)``, the numbers n
-    ``rng.random()`` calls give. One seed draws them from its Generator; two
-    or more draw all rows in one :func:`_uniforms` pass, bit for bit the
-    same, which needs every seed in [0, 2**64).
+    Trial t's n draws are row t of :func:`_uniforms`: the first n SplitMix64
+    outputs seeded with ``seeds[t]``, which must lie in [0, 2**64). One seed
+    or many, every row comes from the same kernel, so a trial's draws do not
+    depend on the seeds that share its call.
     """
     layout = ProtocolLayout(len(kinds))
     client = canonicalize(client)
     joins = [(p, _BELL_AMPS[k]) for p, k in zip(layout.channel_pairs, kinds)]
-    draws = None
-    if seeds is not None and len(seeds) == 1:
-        draws = np.random.default_rng(seeds[0]).random((1, layout.n))
-    elif seeds is not None:
-        draws = _uniforms(seeds, layout.n)
+    draws = None if seeds is None else _uniforms(seeds, layout.n)
     return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
 
 
@@ -359,7 +355,10 @@ class PipeEndpoint:
         peer._buf.extend(data)
 
     def recv(self, max_bytes: int) -> bytes:
-        """Up to max_bytes of the buffered bytes; b'' when none are buffered."""
+        """Up to max_bytes of the buffered bytes; b'' when none are buffered.
+        A negative count raises ``ValueError``, as ``socket.recv`` does."""
+        if max_bytes < 0:
+            raise ValueError(f"negative byte count {max_bytes}")
         chunk = bytes(self._buf[:max_bytes])
         del self._buf[:max_bytes]
         return chunk

@@ -69,6 +69,16 @@ def random_state(ids, rng) -> PureState:
     return PureState.renormalized(tuple(ids), amps)
 
 
+def chi_square(counts, cells: int) -> float:
+    """Pearson's statistic of the observed ``counts`` against equal expected
+    counts over ``cells`` cells; a cell with no count observed counts 0."""
+    counts = list(counts)
+    assert len(counts) <= cells
+    expected = sum(counts) / cells
+    observed = counts + [0] * (cells - len(counts))
+    return sum((o - expected) ** 2 / expected for o in observed)
+
+
 def run_optimized(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` under ``python -O``, which strips assert statements."""
     src = str(Path(crossbell.__file__).resolve().parents[1])

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from crossbell.bell import BellKind, cross_bell_state, parse_channel
 from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
 from crossbell.teleport import ProtocolLayout, run_protocol
-from conftest import random_state
+from conftest import chi_square, random_state
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,22 @@ class TestTeleportCommand:
                 "probability": twin.probability,
                 "fidelity": twin.fidelity_vs_client,
             }
+
+    def test_sampled_outcomes_are_uniform(self, tmp_path):
+        # every one of the 4**3 outcomes has probability 1/64 whatever the
+        # client; 139.58 is chi-square's critical value at 1e-7 for df 63
+        path = tmp_path / "trials.json"
+        code = main([
+            "teleport", "--channel", "phi+,psi-,phi-", "--client", "random",
+            "--seed", "7", "--mode", "sample", "--trials", "64000",
+            "--out", str(path),
+        ])
+        assert code == 0
+        with open(path) as fp:
+            branches = json.load(fp)["branches"]
+        assert len(branches) == 64000
+        counts = Counter(tuple(b["outcome"]) for b in branches)
+        assert chi_square(counts.values(), 64) < 139.58
 
     def test_largest_advertised_n_enumerates_in_bounded_time(self, tmp_path):
         # 4**7 = 16384 branches; a few seconds on a 2-core host

@@ -24,7 +24,9 @@ from crossbell.measure import (
 from crossbell.statevec import (
     DuplicateQubit, MissingQubit, PureState, cross, ket, tensor
 )
-from crossbell.teleport import ProtocolLayout, prepare_channel, total_state
+from crossbell.teleport import (
+    ProtocolLayout, prepare_channel, run_protocol, run_session, total_state
+)
 from conftest import random_state
 
 
@@ -431,32 +433,58 @@ class TestWalkBranches:
             assert walk.leaves[leaf].tobytes() == one.leaves[0].tobytes()
 
 
-def generator_draws(seeds, n):
-    return np.array([draws_of(s, n) for s in seeds])
+_WORD = 2**64 - 1
+
+
+def splitmix64_draws(seed, count):
+    """The first ``count`` SplitMix64 outputs seeded with ``seed``, stepped
+    one at a time on Python ints mod 2**64 as the reference C code steps
+    them, each scaled as ``Generator.random`` scales a 64-bit word."""
+    state, draws = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _WORD
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & _WORD
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _WORD
+        draws.append(((z ^ z >> 31) >> 11) * 2.0**-53)
+    return draws
+
+
+def reference_draws(seeds, n):
+    return np.array([splitmix64_draws(s, n) for s in seeds])
 
 
 class TestUniforms:
-    # one- and two-word entropies, and each side of 2**32 and 2**63
+    # each side of 2**32 and 2**63, and both ends of the seed range
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 
+    def test_seed_zero_draws_the_reference_codes_first_output(self):
+        # splitmix64.c seeded with 0 first returns 0xE220A8397B1DCDAF
+        assert _uniforms([0], 1)[0, 0] == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_rows_equal_each_seeds_generator_bit_for_bit(self, n):
-        assert np.array_equal(_uniforms(self.SEEDS, n), generator_draws(self.SEEDS, n))
+    def test_rows_equal_the_scalar_reference_bit_for_bit(self, n):
+        assert np.array_equal(_uniforms(self.SEEDS, n), reference_draws(self.SEEDS, n))
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
         st.integers(1, 7),
     )
-    def test_any_seeds_in_range_match_their_generators(self, seeds, n):
-        assert np.array_equal(_uniforms(seeds, n), generator_draws(seeds, n))
+    def test_any_seeds_in_range_match_the_scalar_reference(self, seeds, n):
+        assert np.array_equal(_uniforms(seeds, n), reference_draws(seeds, n))
 
     def test_int64_and_uint64_arrays_match_python_ints(self):
         # 9000 rows take more than one of the kernel's blocks
         seeds = np.random.default_rng(8).integers(2**63, size=9000)
-        expected = generator_draws(seeds.tolist(), 3)
+        expected = reference_draws(seeds.tolist(), 3)
         assert np.array_equal(_uniforms(seeds, 3), expected)
         assert np.array_equal(_uniforms(seeds.astype(np.uint64), 3), expected)
+
+    def test_one_seed_draws_its_row_of_a_batch(self):
+        seeds = [7, 2**63 + 5, 0, 7, 2**64 - 1]
+        batch = _uniforms(seeds, 5)
+        for t, seed in enumerate(seeds):
+            assert np.array_equal(_uniforms([seed], 5), batch[t : t + 1])
 
     @pytest.mark.parametrize(
         "seeds",
@@ -472,3 +500,17 @@ class TestUniforms:
     def test_seed_outside_the_uint64_range_raises_and_does_not_wrap(self, seeds):
         with pytest.raises(ValueError, match="seed"):
             _uniforms(seeds, 3)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda kinds, client: run_protocol(kinds, client, "sample", seed=2**64),
+            lambda kinds, client: run_session(kinds, client, seed=-1),
+        ],
+        ids=["run_protocol-2**64", "run_session-negative"],
+    )
+    def test_a_run_seed_outside_the_uint64_range_raises(self, rng, run):
+        kinds = (BellKind.PHI_PLUS, BellKind.PSI_MINUS)
+        client = random_state(ProtocolLayout(2).client_ids, rng)
+        with pytest.raises(ValueError, match="seed"):
+            run(kinds, client)

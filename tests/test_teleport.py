@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
-from crossbell.measure import _contract, bell_collapse
+from crossbell.measure import _contract, bell_collapse, project_onto_bell
 from crossbell.statevec import (
+    EXACT_TOL,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
@@ -22,6 +24,7 @@ from crossbell.statevec import (
     PureState,
     QubitSetMismatch,
     StateError,
+    _close,
     fidelity,
     ket,
 )
@@ -39,7 +42,7 @@ from crossbell.teleport import (
     run_session,
     total_state,
 )
-from conftest import random_state, run_optimized
+from conftest import chi_square, random_state, run_optimized
 
 PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
 
@@ -252,6 +255,29 @@ class TestChannelAndTotal:
                 assert state.qubits == walk.qubits
                 assert probability == pytest.approx(p, rel=0, abs=1e-12)
                 assert np.allclose(row, state.amps, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_sampled_walk_equals_an_independent_projection_chain(self, rng, n):
+        # project_onto_bell contracts with its own tensordot, the oracle's
+        # kernel, and shares no code with the walk's _contract or _join
+        layout = ProtocolLayout(n)
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        total = total_state(prepare_channel(kinds), client)
+        seeds = [int(s) for s in rng.integers(2**63, size=3)]
+        walk = teleport_module._walk(kinds, client, seeds)
+        for outcome, probability, leaf in zip(
+            walk.outcomes, walk.probabilities, walk.leaves, strict=True
+        ):
+            state, expected = total, 1.0
+            for pair, code in zip(layout.measure_pairs, outcome):
+                remaining, raw = project_onto_bell(state, pair, KIND_ORDER[code])
+                p = float(np.vdot(raw, raw).real)
+                expected *= p
+                state = PureState(remaining, raw / np.sqrt(p))
+            assert state.qubits == walk.qubits == layout.bob_ids
+            assert _close(probability, expected, EXACT_TOL)
+            assert _close(leaf, state.amps, EXACT_TOL)
 
     def test_sixteen_equal_weight_branches(self, rng):
         from crossbell.bell import expand_in_cross_bell
@@ -625,6 +651,15 @@ class TestRunSession:
         with pytest.raises(SessionAborted):
             _recv_frame(bob_end)
 
+    def test_negative_recv_count_raises_and_keeps_the_buffer(self):
+        # a negative slice bound would return all but the last bytes
+        alice_end, bob_end = make_pipe()
+        alice_end.send(b"XBEL\x01\x02P")
+        with pytest.raises(ValueError, match="negative"):
+            bob_end.recv(-1)
+        assert bob_end.recv(0) == b""
+        assert bob_end.recv(7) == b"XBEL\x01\x02P"
+
     def test_bad_magic_frame_rejected(self):
         alice_end, bob_end = make_pipe()
         alice_end.send(b"NOPE" + bytes([1, 1, 0b00_000000]))
@@ -708,6 +743,15 @@ class TestRunSession:
         with pytest.raises(SessionAborted):
             alice_end.send(b"x")
         assert bob_end.recv(1) == b""
+
+    def test_sequential_seeds_sample_uniform_outcomes(self, rng):
+        # every one of the 4**2 outcomes has probability 1/16 whatever the
+        # client; 62.33 is chi-square's critical value at 1e-7 for df 15
+        client = random_client(2, rng)
+        counts = Counter(
+            run_session(PHI_CHANNEL, client, seed=seed).outcome for seed in range(4096)
+        )
+        assert chi_square(counts.values(), 16) < 62.33
 
     def test_thousand_sessions_unit_fidelity(self, rng):
         failures = 0
