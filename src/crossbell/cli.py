@@ -63,39 +63,39 @@ def _emit(payload: dict | str | Iterable[str], out: str | None) -> None:
 # Trials whose record texts go out joined as one write.
 _TRIALS_PER_WRITE = 256
 
-# One branch record at its depth in json.dumps(payload, indent=2).
+# One branch record at its depth in json.dumps(payload, indent=2), and each
+# outcome code's token as json writes it.
 _RECORD = (
     '\n    {\n      "outcome": [\n        %s\n      ],\n'
     '      "probability": %s,\n      "fidelity": %s\n    }'
 )
+_QUOTED = np.array([encode_basestring_ascii(k.token) for k in KIND_ORDER], dtype=object)
 
 
 def _branch_pieces(
-    payload: dict, records: list[dict], order: Sequence[int]
+    payload: dict, outcomes: np.ndarray, probabilities: np.ndarray,
+    fidelities: np.ndarray, order: Sequence[int],
 ) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\n"`` with the placeholder
-    ``payload["branches"] = None`` read as ``[records[i] for i in order]``, in
-    pieces of up to ``_TRIALS_PER_WRITE`` records. ``order`` is not empty.
+    ``payload["branches"] = None`` read as the records of leaves ``order``,
+    in pieces of up to ``_TRIALS_PER_WRITE`` records. ``order`` is not empty.
 
-    Each record (its keys ``outcome``, ``probability``, ``fidelity``, in that
-    order) is formatted once with the ``_RECORD`` template, from the texts
-    json itself writes: ``encode_basestring_ascii`` for a token and
-    ``float.__repr__`` for a finite float.
+    Leaf i's record (the tokens of codes ``outcomes[i]``, ``probabilities[i]``
+    and ``fidelities[i]``) is formatted once with the ``_RECORD`` template,
+    from the texts json itself writes: ``encode_basestring_ascii`` for a token
+    and ``float.__repr__`` for a finite float.
     """
     # string values escape their quotes, so only the key itself matches
     head, _, tail = json.dumps(payload, indent=2).partition('"branches": null')
-    texts = [
-        _RECORD % (
-            ",\n        ".join(map(encode_basestring_ascii, r["outcome"])),
-            float.__repr__(r["probability"]),
-            float.__repr__(r["fidelity"]),
+    texts = np.array([
+        _RECORD % (",\n        ".join(tokens), float.__repr__(p), float.__repr__(f))
+        for tokens, p, f in zip(
+            _QUOTED[outcomes].tolist(), probabilities.tolist(), fidelities.tolist()
         )
-        for r in records
-    ]
+    ], dtype=object)
     sep = head + '"branches": ['
     for start in range(0, len(order), _TRIALS_PER_WRITE):
-        block = order[start : start + _TRIALS_PER_WRITE]
-        yield sep + ",".join(map(texts.__getitem__, block))
+        yield sep + ",".join(texts[order[start : start + _TRIALS_PER_WRITE]])
         sep = ","
     yield "\n  ]" + tail + "\n"
 
@@ -162,12 +162,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     walk = _walk(kinds, client, seeds)
     # one record per distinct leaf; Bob's corrected rows are not kept
     fidelities = _correct(kinds, walk, client.amps)[1]
-    tokens = [k.token for k in KIND_ORDER]  # indexed by outcome code
-    records = [
-        {"outcome": [tokens[c] for c in codes], "probability": p, "fidelity": f}
-        for codes, p, f in zip(walk.outcomes, walk.probabilities, fidelities)
-    ]
-    min_fidelity = min(fidelities)
+    min_fidelity = float(fidelities.min())
     payload = _envelope(
         "teleport",
         {
@@ -182,10 +177,11 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     payload["branches"] = None  # streamed by _branch_pieces
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
-        "max_prob_deviation": max(abs(p - 4.0**-n) for p in walk.probabilities),
+        "max_prob_deviation": float(np.abs(walk.probabilities - 4.0**-n).max()),
     }
-    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(records))
-    _emit(_branch_pieces(payload, records, order), args.out)
+    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(fidelities))
+    text = _branch_pieces(payload, walk.outcomes, walk.probabilities, fidelities, order)
+    _emit(text, args.out)
     return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
 
 

@@ -1,7 +1,7 @@
 """Projective Bell measurement of a qubit pair inside a larger pure state,
 one pair at a time or a whole outcome tree level by level. The tree walk
 names each outcome by its 2-bit code, the index into KIND_ORDER
-(``BellKind.code``) that the wire format also carries.
+(``BellKind.code``) that the wire format also carries, in one integer array.
 
 A sampled path reads one uniform draw per level. A run's draws come from
 :func:`_uniforms`: trial t's are the first n outputs of SplitMix64 seeded
@@ -229,10 +229,10 @@ class Walk(NamedTuple):
     work; one trial picks with :func:`_pick`, bit for bit the same."""
 
     qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
-    outcomes: list[tuple[int, ...]]
-    probabilities: list[float]
+    outcomes: np.ndarray  # (leaves, depth) integers: row i holds leaf i's codes
+    probabilities: np.ndarray  # entry i: leaf i's probability
     leaves: np.ndarray  # row i: leaf i's normalized residual
-    trial_leaf: list[int] | None  # sampled walks: the leaf each trial reached
+    trial_leaf: np.ndarray | None  # sampled walks: the leaf each trial reached
 
 
 def _pick_rows(probs: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -318,10 +318,11 @@ def walk_branches(
     array work (:func:`_pick_rows`); one row picks with :func:`_pick`, which
     costs less for a single trial. Only the children some trial reaches are
     kept, so trials that share a prefix share its nodes. A leaf's probability
-    is the product of its per-pair Born probabilities.
+    is the product of its per-pair Born probabilities. Each level gathers its
+    kept children's parent rows of ``outcomes`` and fills in its own column.
     """
     level = vec.reshape(1, -1)
-    outcomes: list[tuple[int, ...]] = [()]
+    outcomes = np.zeros((1, len(pairs)), dtype=np.intp)
     probabilities = np.array([1.0])
     trial_node = None
     if draws is not None:
@@ -354,8 +355,9 @@ def walk_branches(
             level = level[picked]
         born = probs.reshape(-1)[picked]
         _check_children(born, picked, pair)
-        outcomes = [outcomes[c >> 2] + (c & 3,) for c in picked.tolist()]
-        probabilities = probabilities[picked >> 2] * born
+        parent, code = np.divmod(picked, 4)
+        outcomes = outcomes.take(parent, axis=0)
+        outcomes[:, depth] = code
+        probabilities = probabilities[parent] * born
         _normalize(level, born)
-    trial_leaf = None if trial_node is None else trial_node.tolist()
-    return Walk(qubits, outcomes, probabilities.tolist(), level, trial_leaf)
+    return Walk(qubits, outcomes, probabilities, level, trial_node)

@@ -269,7 +269,8 @@ def load_state(fp: TextIO) -> PureState:
     lines = [ln.strip() for ln in fp.read().splitlines() if ln.strip()]
     if not lines or lines[0] != _STATE_MAGIC:
         raise StateError(f"missing '{_STATE_MAGIC}' header")
-    if len(lines) < 2 or not lines[1].startswith("qubits "):
+    # a state over zero qubits has an id line of just "qubits"
+    if len(lines) < 2 or lines[1].partition(" ")[0] != "qubits":
         raise StateError("missing 'qubits' line")
     qubits = tuple(int(tok) for tok in lines[1].split()[1:])
     body = lines[2:]

@@ -19,7 +19,6 @@ one thread: it is not thread-safe and never blocks.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,19 +147,8 @@ class TeleportReport:
 
 
 def prepare_channel(kinds: ChannelSpec) -> PureState:
-    """The shared 2n-qubit channel state on ids 1..2n. States are immutable,
-    so the last ``_CHANNELS_KEPT`` channels asked for are built once each."""
-    return _channel(tuple(kinds))
-
-
-# Channels kept built: 256 KiB of amplitudes each at n = 7.
-_CHANNELS_KEPT = 16
-
-
-@functools.lru_cache(maxsize=_CHANNELS_KEPT)
-def _channel(kinds: ChannelSpec) -> PureState:
-    layout = ProtocolLayout(len(kinds))
-    return cross_bell_state(kinds, layout.channel_pairs)
+    """The shared 2n-qubit channel state on ids 1..2n."""
+    return cross_bell_state(kinds, ProtocolLayout(len(kinds)).channel_pairs)
 
 
 def total_state(channel: PureState, client: PureState) -> PureState:
@@ -200,6 +188,8 @@ _PAIR_CORRECTIONS = _single_pair_table()
 _PAIR_INVERSES = _pair_inverses(_PAIR_CORRECTIONS)
 # Leaves corrected per array step: bounds the temporary rows held at once.
 _BLOCK_ROWS = 1024
+# KIND_ORDER as an array, so indexing it with an array of codes gives kinds.
+_KIND_OF = np.array(KIND_ORDER, dtype=object)
 
 
 def corrections_for(
@@ -265,11 +255,12 @@ def _walk(
 
 def _correct(
     kinds: ChannelSpec, walk: Walk, reference: np.ndarray
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bob's corrected state for each leaf of ``walk``, one row per leaf, and
     each row's fidelity to the client amplitudes ``reference``.
 
-    Leaf rows hold Bob's state on ids 1..n, so slot m is axis m. Each block of
+    Leaf rows hold Bob's state on ids 1..n, so slot m is axis m, and column m
+    of ``walk.outcomes`` picks each row's inverse for it. Each block of
     ``_BLOCK_ROWS`` rows is corrected at once: with ``inv`` each row's
     inverse for slot m, axis m becomes ``inv[:, 0] * psi[0] + inv[:, 1] *
     psi[1]``, two broadcast multiply-adds of the inverse's columns. That is
@@ -279,7 +270,7 @@ def _correct(
     corrected = np.empty_like(walk.leaves)
     for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        codes, rows = np.array(walk.outcomes[block]), walk.leaves[block]
+        codes, rows = walk.outcomes[block], walk.leaves[block]
         for m, channel in enumerate(kinds):
             # axis 3 is s, the inverse's column and psi's bit m, in both
             inv = _PAIR_INVERSES[channel.code, codes[:, m]][:, None, :, :, None]
@@ -288,11 +279,7 @@ def _correct(
             rows = rows.reshape(len(rows), -1)
         corrected[block] = rows
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
-    return corrected, fidelities.tolist()
-
-
-def _kinds(codes: Sequence[int]) -> tuple[BellKind, ...]:
-    return tuple(map(KIND_ORDER.__getitem__, codes))
+    return corrected, fidelities
 
 
 def _leaf_reports(
@@ -307,9 +294,10 @@ def _leaf_reports(
     del corrected
     pre = PureState.rows(walk.qubits, walk.leaves)
     return [
-        TeleportReport(_kinds(codes), p, before, after, f)
-        for codes, p, before, after, f in zip(
-            walk.outcomes, walk.probabilities, pre, post, fidelities
+        TeleportReport(tuple(outcome), p, before, after, f)
+        for outcome, p, before, after, f in zip(
+            _KIND_OF[walk.outcomes].tolist(), walk.probabilities.tolist(),
+            pre, post, fidelities.tolist(),
         )
     ]
 
@@ -413,7 +401,7 @@ def run_session(
 
     try:
         walk = _walk(kinds, client, [seed])
-        alice_end.send(ClassicalMessage(_kinds(walk.outcomes[0])).encode())
+        alice_end.send(ClassicalMessage(tuple(_KIND_OF[walk.outcomes[0]])).encode())
     finally:
         alice_end.close()
 
@@ -423,5 +411,5 @@ def run_session(
             f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
         )
     # Bob's corrections come from the frame, not from Alice's record
-    walk = walk._replace(outcomes=[tuple(k.code for k in message.outcomes)])
+    walk = walk._replace(outcomes=np.array([[k.code for k in message.outcomes]]))
     return _leaf_reports(kinds, walk, client.amps)[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import crossbell
 import crossbell.cli as cli_module
 import crossbell.teleport as teleport_module
 from crossbell import __version__
-from crossbell.bell import BellKind, cross_bell_state, parse_channel
+from crossbell.bell import KIND_ORDER, BellKind, cross_bell_state, parse_channel
 from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
 from crossbell.teleport import ProtocolLayout, run_protocol
@@ -34,6 +35,38 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert out, f"no stdout; stderr: {err}"
     return code, json.loads(out)
+
+
+def branch_digest(path) -> str:
+    """sha256 of a teleport report's branches and aggregate, re-serialized
+    with sorted keys. The envelope is left out, so a version bump keeps it."""
+    payload = json.loads(Path(path).read_text())
+    body = {"branches": payload["branches"], "aggregate": payload["aggregate"]}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+# Digests of teleport runs, recorded with the walker that kept each leaf's
+# outcomes as a tuple of codes. They pin the CLI's values apart from the walk
+# that both sides of test_stdout_equals_the_payload_built_from_reports share.
+_CHANNELS = ["phi+", "psi-", "phi-", "psi+"] * 2
+N7_DIGEST = "9b9dd9732feccd095c3e9f17e61d608d7e743e2ea31a3012ddb730e2a4177461"
+# (±1 ± 1j) / 4 on each of 8 amplitudes: the squared norm is exactly 1
+_PINNED_CLIENT = (
+    "crossbell-state v1\nqubits 1 2 3\n0.25 0.25\n0.25 -0.25\n-0.25 0.25\n"
+    "-0.25 -0.25\n0.25 -0.25\n0.25 0.25\n-0.25 -0.25\n-0.25 0.25\n"
+)
+# an enumeration's outcomes and probabilities do not depend on the client, so
+# two presets differ only in their fidelities' last bits, which agree at n <= 2
+_PRESET_DIGESTS = {
+    ("ghz", 1): "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+    ("ghz", 2): "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+    ("ghz", 3): "3234d16dcd48d10024376d577e1ce27d2982728f3fbcd4263131c20c734d9bdf",
+    ("ghz", 4): "1345347c1fe4d5e336a44a54425778bb9d5e6ffa15de8c6be7d0b9ac05cf5b3a",
+    ("uniform", 1): "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+    ("uniform", 2): "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+    ("uniform", 3): "a12bdfb9dc1b2d8dd177c13a0d02d27cf0f640f9bb34aabcf22c26a9024724f5",
+    ("uniform", 4): "f01faa748e5ad8ccae45af08eead5b0fa3a35a7169318c9b5ddf3ca5f1be370b",
+}
 
 
 # Runs argv[1:] and prints its exit code and ru_maxrss. A process started
@@ -176,6 +209,7 @@ class TestTeleportCommand:
         assert len(payload["branches"]) == 4**MAX_PARTIES == 16384
         assert payload["aggregate"]["min_fidelity"] >= 1 - 1e-9
         assert elapsed < wall_bound_s
+        assert branch_digest(path) == N7_DIGEST
 
     def test_largest_advertised_n_samples_a_thousand_trials_in_bounded_time(
         self, tmp_path
@@ -423,18 +457,57 @@ class TestTeleportCommand:
     @pytest.mark.parametrize("length", [1, 8, 9], ids=["one", "block", "block+1"])
     def test_record_template_writes_what_json_writes(self, monkeypatch, length):
         monkeypatch.setattr(cli_module, "_TRIALS_PER_WRITE", 8)
-        tokens = ["phi+", "psi-", "psi+"]
-        records = [
-            {"outcome": tokens[: 1 + i % 3], "probability": p, "fidelity": f}
-            for i, (p, f) in enumerate(zip(self.FLOATS, self.FLOATS[::-1]))
-        ]
         order = {1: [5], 8: list(range(8))[::-1], 9: list(range(8)) + [0]}[length]
         payload = {"command": "teleport", "branches": None, "aggregate": {"x": 0.1}}
-        pieces = list(cli_module._branch_pieces(payload, records, order))
-        expected = dict(payload, branches=[records[i] for i in order])
-        assert "".join(pieces) == json.dumps(expected, indent=2) + "\n"
-        # one piece per block of trials, then the envelope's tail
-        assert len(pieces) == -(-length // 8) + 1
+        probabilities, fidelities = self.FLOATS, self.FLOATS[::-1]
+        for depth in (1, 2, 3):
+            # leaf i's codes are i, i + 1, ... mod 4, so every code appears
+            outcomes = (np.arange(8)[:, None] + np.arange(depth)) % 4
+            records = [
+                {"outcome": [KIND_ORDER[c].token for c in codes], "probability": p,
+                 "fidelity": f}
+                for codes, p, f in zip(outcomes.tolist(), probabilities, fidelities)
+            ]
+            pieces = list(cli_module._branch_pieces(
+                payload, outcomes, np.array(probabilities), np.array(fidelities), order
+            ))
+            expected = dict(payload, branches=[records[i] for i in order])
+            assert "".join(pieces) == json.dumps(expected, indent=2) + "\n"
+            # one piece per block of trials, then the envelope's tail
+            assert len(pieces) == -(-length // 8) + 1
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("client, n", sorted(_PRESET_DIGESTS))
+    def test_preset_enumeration(self, tmp_path, client, n):
+        offset = {"ghz": 0, "uniform": 1}[client]
+        channel = ",".join(_CHANNELS[offset : offset + n])
+        path = tmp_path / "run.json"
+        argv = ["teleport", "--channel", channel, "--client", client, "--seed", "7"]
+        assert main(argv + ["--out", str(path)]) == 0
+        assert branch_digest(path) == _PRESET_DIGESTS[client, n]
+
+    def test_file_client_enumeration(self, tmp_path):
+        state = tmp_path / "client.state"
+        state.write_text(_PINNED_CLIENT)
+        path = tmp_path / "run.json"
+        assert main([
+            "teleport", "--channel", "psi+,phi-,psi-", "--client", f"file:{state}",
+            "--seed", "7", "--out", str(path),
+        ]) == 0
+        assert branch_digest(path) == (
+            "ca962dfa750d1b5ab85548336d359da9731d7b2088e482e6fa9e769fb614ba20"
+        )
+
+    def test_thousand_sampled_trials(self, tmp_path):
+        path = tmp_path / "run.json"
+        assert main([
+            "teleport", "--channel", "phi-,psi+,phi+", "--mode", "sample",
+            "--trials", "1000", "--seed", "7", "--out", str(path),
+        ]) == 0
+        assert branch_digest(path) == (
+            "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3"
+        )
 
 
 class TestVersion:

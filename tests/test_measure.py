@@ -231,9 +231,10 @@ class TestWalkBranches:
         s = random_state((1, 2, 3, 4, 5, 6), rng)
         walk = walk_branches(s.qubits, s.amps, PAIRS)
         assert walk.trial_leaf is None
-        leaves = list(zip(walk.outcomes, walk.probabilities, walk.leaves))
+        assert walk.outcomes.dtype.kind == "i"
+        leaves = list(zip(walk.outcomes.tolist(), walk.probabilities, walk.leaves))
         assert [leaf[0] for leaf in leaves] == [
-            (k1.code, k2.code) for k1 in KIND_ORDER for k2 in KIND_ORDER
+            [k1.code, k2.code] for k1 in KIND_ORDER for k2 in KIND_ORDER
         ]
         for outcome, probability, vec in leaves:
             state, expected = s, 1.0
@@ -256,14 +257,14 @@ class TestWalkBranches:
             ((outcome, probability, vec),) = zip(
                 walk.outcomes, walk.probabilities, walk.leaves
             )
-            assert walk.trial_leaf == [0]
+            assert walk.trial_leaf.tolist() == [0]
             sampler = np.random.default_rng(seed)
             state, expected = s, []
             for pair in PAIRS:
                 kind = sample_kind(state, pair, sampler)
                 state = bell_collapse(state, pair, kind).residual
                 expected.append(kind.code)
-            assert outcome == tuple(expected)
+            assert outcome.tolist() == expected
             assert np.allclose(vec, state.amps, atol=1e-12)
 
     def test_trials_share_nodes_and_keep_first_appearance_order(self, rng):
@@ -276,11 +277,11 @@ class TestWalkBranches:
             walk_branches(s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS))])
             for seed in seeds
         ]
-        reached = [one.outcomes[0] for one in alone]
-        assert walk.outcomes == list(dict.fromkeys(reached))
+        reached = [tuple(one.outcomes[0].tolist()) for one in alone]
+        assert list(map(tuple, walk.outcomes.tolist())) == list(dict.fromkeys(reached))
         for t, one in enumerate(alone):
             leaf = walk.trial_leaf[t]
-            assert walk.outcomes[leaf] == one.outcomes[0]
+            assert np.array_equal(walk.outcomes[leaf], one.outcomes[0])
             assert walk.probabilities[leaf] == one.probabilities[0]
             assert np.array_equal(walk.leaves[leaf], one.leaves[0])
 
@@ -297,7 +298,7 @@ class TestWalkBranches:
         ) / np.sqrt(2)
         s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
         walk = walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [0.7]])
-        assert walk.outcomes == [(BellKind.PSI_PLUS.code,)]
+        assert walk.outcomes.tolist() == [[BellKind.PSI_PLUS.code]]
         with pytest.raises(ZeroProbabilityOutcome):
             walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
         # psi- and phi- carry 1e-13 and 2e-13: in a longer walk, later trials
@@ -318,9 +319,9 @@ class TestWalkBranches:
         as_array = walk_branches(s.qubits, s.amps, PAIRS, draws)
         as_lists = walk_branches(s.qubits, s.amps, PAIRS, draws.tolist())
         assert as_array.qubits == as_lists.qubits
-        assert as_array.outcomes == as_lists.outcomes
-        assert as_array.probabilities == as_lists.probabilities
-        assert as_array.trial_leaf == as_lists.trial_leaf
+        assert np.array_equal(as_array.outcomes, as_lists.outcomes)
+        assert np.array_equal(as_array.probabilities, as_lists.probabilities)
+        assert np.array_equal(as_array.trial_leaf, as_lists.trial_leaf)
         assert np.array_equal(as_array.leaves, as_lists.leaves)
 
     def test_joined_pairs_walk_as_the_joined_vector(self, rng):
@@ -335,8 +336,11 @@ class TestWalkBranches:
             walk = walk_branches(s.qubits, s.amps, pairs, rows, joins)
             expected = walk_branches(whole.qubits, whole.amps, pairs, rows)
             assert walk.qubits == expected.qubits == (1, 4, 5, 8)
-            assert walk.outcomes == expected.outcomes
-            assert walk.trial_leaf == expected.trial_leaf
+            assert np.array_equal(walk.outcomes, expected.outcomes)
+            if rows is None:
+                assert walk.trial_leaf is expected.trial_leaf is None
+            else:
+                assert np.array_equal(walk.trial_leaf, expected.trial_leaf)
             assert np.allclose(
                 walk.probabilities, expected.probabilities, rtol=0, atol=1e-15
             )
@@ -423,11 +427,12 @@ class TestWalkBranches:
                 kept.append(row)
             walk = walk_branches(qubits, vec, pairs, kept)
         assert len(kept) >= 2
-        reached = [one.outcomes[0] for one in alone]
-        assert walk.outcomes == list(dict.fromkeys(reached))
-        assert walk.trial_leaf == [walk.outcomes.index(r) for r in reached]
+        reached = [tuple(one.outcomes[0].tolist()) for one in alone]
+        paths = list(map(tuple, walk.outcomes.tolist()))
+        assert paths == list(dict.fromkeys(reached))
+        assert walk.trial_leaf.tolist() == [paths.index(r) for r in reached]
         for t, one in enumerate(alone):
-            assert one.trial_leaf == [0]
+            assert one.trial_leaf.tolist() == [0]
             leaf = walk.trial_leaf[t]
             assert walk.probabilities[leaf] == one.probabilities[0]
             assert walk.leaves[leaf].tobytes() == one.leaves[0].tobytes()

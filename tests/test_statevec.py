@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import crossbell
@@ -412,7 +412,7 @@ finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 class TestStateFile:
     @settings(max_examples=100, deadline=None)
     @given(
-        st.sets(st.integers(1, 40), min_size=1, max_size=4).flatmap(
+        st.sets(st.integers(1, 40), min_size=0, max_size=4).flatmap(
             lambda ids: st.tuples(
                 st.just(tuple(sorted(ids))),
                 st.lists(
@@ -421,6 +421,8 @@ class TestStateFile:
             )
         )
     )
+    # zero qubits: the id line is "qubits" alone
+    @example(((), [0.6, -0.8]))
     def test_round_trip_bit_exact(self, ids_and_parts):
         ids, parts = ids_and_parts
         amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])

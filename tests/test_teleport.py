@@ -47,6 +47,16 @@ from conftest import chi_square, random_state, run_optimized
 PHI_CHANNEL = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
 
 
+class DiscardingEnd:
+    """Alice's end of a transport that drops whatever she sends."""
+
+    def send(self, data):
+        pass
+
+    def close(self):
+        pass
+
+
 def random_client(n, rng) -> PureState:
     return random_state(ProtocolLayout(n).client_ids, rng)
 
@@ -66,7 +76,7 @@ def einsum_correct(kinds, walk, reference):
     corrected = np.empty_like(walk.leaves)
     for start in range(0, len(walk.outcomes), teleport_module._BLOCK_ROWS):
         block = slice(start, start + teleport_module._BLOCK_ROWS)
-        codes, rows = np.array(walk.outcomes[block]), walk.leaves[block]
+        codes, rows = walk.outcomes[block], walk.leaves[block]
         for m, channel in enumerate(kinds):
             inverse = teleport_module._PAIR_INVERSES[channel.code, codes[:, m]]
             psi = rows.reshape(len(rows), 2**m, 2, -1)
@@ -208,11 +218,8 @@ class TestChannelAndTotal:
         assert got.dim == 64
         assert abs(got.norm() - 1.0) < 1e-12
 
-    def test_channel_is_built_once_and_read_only(self):
-        kinds = (BellKind.PSI_MINUS, BellKind.PHI_PLUS)
-        channel = prepare_channel(kinds)
-        assert prepare_channel(kinds) is channel
-        assert prepare_channel(list(kinds)) is channel
+    def test_channel_is_read_only(self):
+        channel = prepare_channel((BellKind.PSI_MINUS, BellKind.PHI_PLUS))
         with pytest.raises(ValueError):
             channel.amps[0] = 1.0
         with pytest.raises(ValueError):
@@ -248,7 +255,7 @@ class TestChannelAndTotal:
                     for record in [bell_collapse(state, pair, kind)]
                 }
             walk = teleport_module._walk(kinds, client)
-            assert walk.outcomes == list(nodes)
+            assert list(map(tuple, walk.outcomes.tolist())) == list(nodes)
             for (state, p), probability, row in zip(
                 nodes.values(), walk.probabilities, walk.leaves, strict=True
             ):
@@ -367,7 +374,8 @@ class TestCorrectStep:
         for kinds in product(KIND_ORDER, repeat=n):
             walk = teleport_module._walk(kinds, client)
             reports = list(teleport_module._leaf_reports(kinds, walk, client.amps))
-            assert [tuple(k.code for k in r.outcome) for r in reports] == walk.outcomes
+            codes = [[k.code for k in r.outcome] for r in reports]
+            assert codes == walk.outcomes.tolist()
             for report, pre in zip(reports, walk.leaves):
                 assert np.array_equal(report.bob_pre_state.amps, pre)
                 expected = recover(
@@ -672,20 +680,31 @@ class TestRunSession:
         # Bob expects 2n=4 outcome bits; a rogue frame carrying only 2 bits
         # (n=1) must be refused even though it is well-formed on its own.
         client = random_client(2, rng)
-
-        class DiscardingEnd:
-            def send(self, data):
-                pass
-
-            def close(self):
-                pass
-
         injector, bob_end = make_pipe()
         injector.send(ClassicalMessage((BellKind.PSI_PLUS,)).encode())
         with pytest.raises(ProtocolViolation):
             run_session(
                 PHI_CHANNEL, client, transport=(DiscardingEnd(), bob_end), seed=1
             )
+
+    @pytest.mark.parametrize("seed", [1, 7, 123456789])
+    def test_bob_corrects_by_the_frame_not_by_alices_record(self, rng, seed):
+        # Alice's own frame is dropped and a well-formed one whose every
+        # outcome differs from hers arrives instead: Bob's step reads the frame
+        client = random_client(2, rng)
+        alice = teleport_module._walk(PHI_CHANNEL, client, [seed])
+        injected = tuple(KIND_ORDER[(c + 1) % 4] for c in alice.outcomes[0].tolist())
+        injector, bob_end = make_pipe()
+        injector.send(ClassicalMessage(injected).encode())
+        report = run_session(
+            PHI_CHANNEL, client, transport=(DiscardingEnd(), bob_end), seed=seed
+        )
+        assert report.outcome == injected
+        assert report.bob_pre_state.qubits == alice.qubits
+        assert np.array_equal(report.bob_pre_state.amps, alice.leaves[0])
+        expected = recover(report.bob_pre_state, corrections_for(PHI_CHANNEL, injected))
+        assert report.bob_corrected.qubits == expected.qubits
+        assert _close(report.bob_corrected.amps, expected.amps, EXACT_TOL)
 
     @pytest.mark.parametrize(
         "transport",
