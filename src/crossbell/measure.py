@@ -221,12 +221,11 @@ def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
 
 
 class Walk(NamedTuple):
-    """The distinct leaves a walk reached, in order of first appearance.
-    Leaf i's path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``)
-    per measured pair, in measurement order. A sampled walk follows the
-    caller's draws, one row per trial (a run's rows come from
-    :func:`_uniforms`). Two or more trials pick every trial's child as array
-    work; one trial picks with :func:`_pick`, bit for bit the same."""
+    """The distinct leaves a walk reached, in ascending code order. Leaf i's
+    path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``) per
+    measured pair, in measurement order. A sampled walk follows the caller's
+    draws, one row per trial (a run's rows come from :func:`_uniforms`), and
+    is bit for bit the enumerate walk's rows at the codes its trials reach."""
 
     qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
     outcomes: np.ndarray  # (leaves, depth) integers: row i holds leaf i's codes
@@ -256,18 +255,12 @@ def _pick_rows(probs: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray
     return 4 * node + count
 
 
-def _first_appearance(child: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``child`` (each in [0, size)) in order of first
-    appearance, and each entry's index into them."""
-    first = np.full(size, len(child))
-    np.minimum.at(first, child, np.arange(len(child)))
-    # a mask of each value's first entry reads them in order, with no sort
-    is_first = np.zeros(len(child), dtype=bool)
-    is_first[first[first < len(child)]] = True
-    picked = child[is_first]
-    rank = np.empty(size, dtype=np.intp)
-    rank[picked] = np.arange(len(picked))
-    return picked, rank[child]
+def _reached(child: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``child`` (each in [0, size)) in ascending
+    order, and each entry's index into them."""
+    reached = np.zeros(size, dtype=bool)
+    reached[child] = True
+    return np.flatnonzero(reached), (np.cumsum(reached) - 1)[child]
 
 
 def _check_children(
@@ -310,14 +303,16 @@ def walk_branches(
     amplitudes) entry, onto every node (:func:`_join`), so a vector that is
     a product with independent pairs is never built whole: each node holds
     only the pairs joined so far. Without ``draws`` every node keeps its
-    four children, so the leaves come in lexicographic code order. With
-    them, trial t follows one path: ``draws[t][d]`` picks its child at depth
-    d as :func:`sample_kind` picks from ``rng.random()``. ``draws`` is a
-    (trials, depth) array, or lists that convert to one, with at least one
-    row; each level reads its column. Two or more rows pick as
-    array work (:func:`_pick_rows`); one row picks with :func:`_pick`, which
-    costs less for a single trial. Only the children some trial reaches are
-    kept, so trials that share a prefix share its nodes. A leaf's probability
+    four children. With them, trial t follows one path: ``draws[t][d]``
+    picks its child at depth d as :func:`sample_kind` picks from
+    ``rng.random()``. ``draws`` is a (trials, depth) array, or lists that
+    convert to one, with at least one row; each level reads its column. Two
+    or more rows pick as array work (:func:`_pick_rows`); one row picks with
+    :func:`_pick`, bit for bit the same at less cost. Each child some trial
+    reaches is kept once, so trials that share a prefix share its nodes.
+    Every level keeps its children in ascending child index, so every walk
+    lists its leaves in code order, and a sampled walk is bit for bit the
+    enumerate walk's rows at the codes its trials reach. A leaf's probability
     is the product of its per-pair Born probabilities. Each level gathers its
     kept children's parent rows of ``outcomes`` and fills in its own column.
     """
@@ -349,7 +344,7 @@ def walk_branches(
             if len(draws) == 1:  # the one trial is at node 0
                 picked = np.array([_pick(probs[0].tolist(), float(draws[0, depth]))])
             else:
-                picked, trial_node = _first_appearance(
+                picked, trial_node = _reached(
                     _pick_rows(probs, trial_node, draws[:, depth]), len(level)
                 )
             level = level[picked]

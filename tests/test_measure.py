@@ -267,9 +267,11 @@ class TestWalkBranches:
             assert outcome.tolist() == expected
             assert np.allclose(vec, state.amps, atol=1e-12)
 
-    def test_trials_share_nodes_and_keep_first_appearance_order(self, rng):
+    def test_trials_share_nodes_and_keep_code_order(self, rng):
         s = random_state((1, 2, 3, 4, 5, 6), rng)
-        seeds = [3, 11, 3, 40, 11, 3]
+        # trials first reach (2, 3), (0, 0), (2, 1), (0, 1) and (3, 0): out of
+        # code order at both levels
+        seeds = [40, 3, 6, 40, 11, 3, 9]
         walk = walk_branches(
             s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS)) for seed in seeds]
         )
@@ -278,7 +280,8 @@ class TestWalkBranches:
             for seed in seeds
         ]
         reached = [tuple(one.outcomes[0].tolist()) for one in alone]
-        assert list(map(tuple, walk.outcomes.tolist())) == list(dict.fromkeys(reached))
+        assert list(dict.fromkeys(reached)) != sorted(set(reached))
+        assert list(map(tuple, walk.outcomes.tolist())) == sorted(set(reached))
         for t, one in enumerate(alone):
             leaf = walk.trial_leaf[t]
             assert np.array_equal(walk.outcomes[leaf], one.outcomes[0])
@@ -302,13 +305,13 @@ class TestWalkBranches:
         with pytest.raises(ZeroProbabilityOutcome):
             walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
         # psi- and phi- carry 1e-13 and 2e-13: in a longer walk, later trials
-        # reach both, and the first one reached is named
+        # reach phi- and then psi-, and psi-, the lower code, is named
         c_plus, c_phi = np.sqrt(1 - 3e-13), np.sqrt(2e-13)
         pair_amps = np.array(
             [c_plus + c_minus, c_phi, -c_phi, c_plus - c_minus], dtype=complex
         ) / np.sqrt(2)
         s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
-        draws = [[0.3], [0.7], [1 - 2.5e-13], [0.5], [1 - 1e-13]]
+        draws = [[0.3], [0.7], [1 - 1e-13], [0.5], [1 - 2.5e-13]]
         message = r"outcome psi- on pair \(1, 2\) has probability 1\.000e-13"
         with pytest.raises(ZeroProbabilityOutcome, match=message):
             walk_branches(s.qubits, s.amps, [(1, 2)], draws)
@@ -429,7 +432,7 @@ class TestWalkBranches:
         assert len(kept) >= 2
         reached = [tuple(one.outcomes[0].tolist()) for one in alone]
         paths = list(map(tuple, walk.outcomes.tolist()))
-        assert paths == list(dict.fromkeys(reached))
+        assert paths == sorted(set(reached))
         assert walk.trial_leaf.tolist() == [paths.index(r) for r in reached]
         for t, one in enumerate(alone):
             assert one.trial_leaf.tolist() == [0]

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossbell.teleport as teleport_module
@@ -285,6 +285,31 @@ class TestChannelAndTotal:
             assert state.qubits == walk.qubits == layout.bob_ids
             assert _close(probability, expected, EXACT_TOL)
             assert _close(leaf, state.amps, EXACT_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=300),
+    )
+    # seed 1 reaches (phi+, phi+) and seed 3 (psi+, phi+): first reached is
+    # not code order
+    @example(n=2, state_seed=0, seeds=[1, 2, 3])
+    def test_sampled_walk_is_a_sub_walk_of_the_enumeration(
+        self, n, state_seed, seeds
+    ):
+        rng = np.random.default_rng(state_seed)
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        walk = teleport_module._walk(kinds, client, seeds)
+        enumerated = teleport_module._walk(kinds, client)
+        # base-4 codes: enumeration row i holds the leaf of code i
+        codes = walk.outcomes @ 4 ** np.arange(n - 1, -1, -1)
+        assert np.all(np.diff(codes) > 0)
+        assert walk.qubits == enumerated.qubits
+        assert np.array_equal(walk.outcomes, enumerated.outcomes[codes])
+        assert np.array_equal(walk.probabilities, enumerated.probabilities[codes])
+        assert np.array_equal(walk.leaves, enumerated.leaves[codes])
 
     def test_sixteen_equal_weight_branches(self, rng):
         from crossbell.bell import expand_in_cross_bell
