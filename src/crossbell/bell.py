@@ -1,9 +1,9 @@
-"""Bell states, cross-Bell bases, expansions, and the reference correction table.
+"""Bell states, the one Bell-pair kernel, cross-Bell bases and expansions, and
+the reference correction table.
 
-Naming note: in this library PSI_PLUS/PSI_MINUS pair |00> and |11|, while
-PHI_PLUS/PHI_MINUS pair |01> and |10>. Much of the literature swaps the Psi
-and Phi names; the convention here is normative for everything downstream
-(wire encoding, CLI flags, reference tables).
+Naming note: PSI_PLUS/PSI_MINUS pair |00> and |11>, PHI_PLUS/PHI_MINUS pair
+|01> and |10>. Much of the literature swaps the Psi and Phi names; this
+convention is normative downstream (wire encoding, CLI flags, tables).
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .statevec import (
     _close,
     canonicalize,
     cross,
-    inner,
 )
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -72,6 +71,38 @@ _BELL_AMPS = {
     BellKind.PHI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT1_2,
     BellKind.PHI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT1_2,
 }
+
+
+def _contract(
+    qubits: tuple[int, ...], level: np.ndarray, pair: tuple[int, int]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """All four projections of each row of ``level`` in one pass.
+
+    ``level`` is an (N, 2**len(qubits)) array of raw canonical vectors.
+    Returns the remaining qubits, an (N, 4, 2**(len(qubits)-2)) array whose
+    [i, k] is row i's unnormalized residual for KIND_ORDER[k], and the (N, 4)
+    squared norms. The arithmetic is elementwise and each squared norm is a
+    reduction over its own row, with no BLAS kernel whose rounding may change
+    with N, so a row gets the same bits whatever rows share its call.
+    """
+    lo, hi = min(pair), max(pair)
+    ax_lo, ax_hi = qubits.index(lo), qubits.index(hi)
+    rows_in = len(level)
+    psi = level.reshape(rows_in, 2**ax_lo, 2, 2 ** (ax_hi - ax_lo - 1), 2, -1)
+    # psi+- pair |00> with +-|11>, phi+- pair |01> with +-|10> (_BELL_AMPS):
+    # (s00, s01) +- (s11, s10) gives (psi+-, phi+-), with the bit of the
+    # larger id moved next to the row axis
+    same = psi[:, :, 0].transpose(0, 3, 1, 2, 4)
+    flip = psi[:, :, 1, :, ::-1].transpose(0, 3, 1, 2, 4)
+    rows = np.empty((rows_in, 2, 2) + same.shape[2:], dtype=complex)
+    np.add(same, flip, out=rows[:, :, 0])
+    np.subtract(same, flip, out=rows[:, :, 1])
+    rows = rows.reshape(rows_in, 4, -1)
+    flat = rows.view(np.float64)
+    flat *= _SQRT1_2
+    probs = np.einsum("nki,nki->nk", flat, flat)
+    remaining = tuple(q for q in qubits if q not in (lo, hi))
+    return remaining, rows, probs
 
 
 @dataclass(frozen=True)
@@ -130,21 +161,20 @@ def cross_bell_basis(pairs: Sequence[tuple[int, int]]) -> list[PureState]:
 def expand_in_cross_bell(
     s: PureState, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[BellKind, ...], complex]:
-    """Coefficients of ``s`` in the cross-Bell basis of ``pairs``.
-
-    Coefficient of basis element T is <T|s>; they satisfy Parseval and
-    reconstruct ``s`` exactly because the basis is orthonormal.
+    """Coefficients <T|s> of ``s`` in the cross-Bell basis of ``pairs``, in
+    kind_tuples order: one unnormalized :func:`_contract` per pair, and no
+    basis state is built. They satisfy Parseval and reconstruct ``s``.
     """
-    wanted = {q for p in pairs for q in p}
-    if set(s.qubits) != wanted:
+    if sorted(q for p in pairs for q in p) != sorted(s.qubits):
         raise QubitSetMismatch(
             f"state over {sorted(s.qubits)} does not live on pairs {list(pairs)}"
         )
     s = canonicalize(s)
-    return {
-        kinds: inner(cross_bell_state(kinds, pairs), s)
-        for kinds in kind_tuples(len(pairs))
-    }
+    qubits, level = s.qubits, s.amps.reshape(1, -1)
+    for pair in pairs:
+        qubits, rows, _ = _contract(qubits, level, pair)
+        level = rows.reshape(-1, rows.shape[-1])
+    return dict(zip(kind_tuples(len(pairs)), level[:, 0].tolist()))
 
 
 _MATRIX_BASE = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}

@@ -230,8 +230,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     pairs = _parse_pairs(args.pairs)
-    if len(pairs) > MAX_BASIS_PARTIES:
-        raise ValueError(f"expand takes at most {MAX_BASIS_PARTIES} pairs")
+    if len(pairs) > MAX_PARTIES:
+        raise ValueError(f"expand takes at most {MAX_PARTIES} pairs")
     with open(args.state) as fp:
         state = load_state(fp)
     coefficients = expand_in_cross_bell(state, pairs)

@@ -1,7 +1,7 @@
 """Projective Bell measurement of a qubit pair inside a larger pure state,
-one pair at a time or a whole outcome tree level by level. The tree walk
-names each outcome by its 2-bit code, the index into KIND_ORDER
-(``BellKind.code``) that the wire format also carries, in one integer array.
+one pair at a time or a whole outcome tree level by level, with the
+Bell-pair kernel ``bell._contract``. The tree walk names each outcome by its
+2-bit code (``BellKind.code``, also on the wire), in one integer array.
 
 A sampled path reads one uniform draw per level. A run's draws come from
 :func:`_uniforms`: trial t's are the first n outputs of SplitMix64 seeded
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import _BELL_AMPS, _SQRT1_2, KIND_ORDER, BellKind, BellOutcome
+from .bell import _BELL_AMPS, KIND_ORDER, BellKind, BellOutcome, _contract
 from .statevec import EXACT_TOL, DuplicateQubit, MissingQubit, PureState, canonicalize
 
 
@@ -44,38 +44,6 @@ def _project_raw(
     residual = np.tensordot(bell, psi, axes=([0, 1], [ax_lo, ax_hi]))
     remaining = tuple(q for q in qubits if q not in (lo, hi))
     return remaining, residual.reshape((-1,) + vec.shape[1:])
-
-
-def _contract(
-    qubits: tuple[int, ...], level: np.ndarray, pair: tuple[int, int]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """All four projections of each row of ``level`` in one pass.
-
-    ``level`` is an (N, 2**len(qubits)) array of raw canonical vectors.
-    Returns the remaining qubits, an (N, 4, 2**(len(qubits)-2)) array whose
-    [i, k] is row i's unnormalized residual for KIND_ORDER[k], and the (N, 4)
-    squared norms. The arithmetic is elementwise and each squared norm is a
-    reduction over its own row, with no BLAS kernel whose rounding may change
-    with N, so a row gets the same bits whatever rows share its call.
-    """
-    lo, hi = min(pair), max(pair)
-    ax_lo, ax_hi = qubits.index(lo), qubits.index(hi)
-    rows_in = len(level)
-    psi = level.reshape(rows_in, 2**ax_lo, 2, 2 ** (ax_hi - ax_lo - 1), 2, -1)
-    # psi+- pair |00> with +-|11>, phi+- pair |01> with +-|10> (bell._BELL_AMPS):
-    # (s00, s01) +- (s11, s10) gives (psi+-, phi+-), with the bit of the
-    # larger id moved next to the row axis
-    same = psi[:, :, 0].transpose(0, 3, 1, 2, 4)
-    flip = psi[:, :, 1, :, ::-1].transpose(0, 3, 1, 2, 4)
-    rows = np.empty((rows_in, 2, 2) + same.shape[2:], dtype=complex)
-    np.add(same, flip, out=rows[:, :, 0])
-    np.subtract(same, flip, out=rows[:, :, 1])
-    rows = rows.reshape(rows_in, 4, -1)
-    flat = rows.view(np.float64)
-    flat *= _SQRT1_2
-    probs = np.einsum("nki,nki->nk", flat, flat)
-    remaining = tuple(q for q in qubits if q not in (lo, hi))
-    return remaining, rows, probs
 
 
 def _contract_one(

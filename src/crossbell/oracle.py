@@ -28,7 +28,7 @@ from .bell import (
     BellKind,
     ChannelSpec,
     _read_data_lines,
-    expand_in_cross_bell,
+    cross_bell_basis,
     format_matrix_token,
     kind_tuples,
     paper_correction_table,
@@ -374,7 +374,7 @@ _GROUP_CODES = {"psi": slice(0, 2), "phi": slice(2, 4)}
 
 
 def _audit_eq4(report: DivergenceReport) -> None:
-    pairs = ((1, 3), (2, 4))
+    basis = cross_bell_basis(((1, 3), (2, 4)))
     for location, lhs, line_sign, group1, group2 in _read_data_lines(
         "printed_eq4.txt"
     ):
@@ -382,10 +382,8 @@ def _audit_eq4(report: DivergenceReport) -> None:
         for i, r in product((0, 1), repeat=2):
             env = {"i": i, "r": r, "!i": 1 - i, "!r": 1 - r, "i+r": i + r}
             state = ket(dict(zip((1, 2, 3, 4), (env[p] for p in lhs.split(",")))))
-            # 4x4 coefficients indexed by the two pairs' outcome codes
-            actual = np.reshape(
-                list(expand_in_cross_bell(state, pairs).values()), (4, 4)
-            )
+            # <T|state> per basis state T, indexed by the two pairs' codes
+            actual = np.reshape([np.vdot(b.amps, state.amps) for b in basis], (4, 4))
             # a line sign is "+" or (-1)^e for an exponent e in env
             sign = 1.0
             if line_sign != "+":

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossbell.bell import (
     KIND_ORDER,
@@ -19,13 +23,34 @@ from crossbell.bell import (
     pauli,
 )
 from crossbell.statevec import (
+    EXACT_TOL,
     SIGMA_X,
     SIGMA_Y,
     DuplicateQubit,
+    PureState,
     QubitSetMismatch,
+    StateError,
+    canonicalize,
     ket,
 )
 from conftest import dict_bell, dict_product, dict_to_vector, random_state
+
+
+@st.composite
+def states_on_pairs(draw):
+    """A random state over ids 1..2n (1 <= n <= 4), its qubits in a random
+    order, and n pairs of its ids in random order and orientation."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(1, 2 * n + 1)))
+    order = draw(st.permutations(range(1, 2 * n + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(tuple(order), rng)
+    return state, [(ids[2 * m], ids[2 * m + 1]) for m in range(n)]
+
+
+_REVERSED_STATE = PureState.renormalized(
+    (3, 1, 4, 2), np.arange(16) + 1j * np.arange(16)[::-1]
+)
 
 
 class TestBellState:
@@ -147,6 +172,36 @@ class TestExpand:
     def test_wrong_support(self, rng):
         with pytest.raises(QubitSetMismatch):
             expand_in_cross_bell(random_state((1, 2, 3, 4), rng), [(1, 2)])
+
+    @pytest.mark.parametrize(
+        "ids, pairs",
+        [
+            ((1, 2, 3), [(1, 1), (2, 3)]),
+            ((1, 2, 3), [(1, 2), (2, 3)]),
+            ((1, 2, 3, 4), [(1, 2), (1, 2)]),
+        ],
+        ids=["qubit-named-twice", "overlapping", "repeated-pair"],
+    )
+    def test_malformed_pairs_fail_the_support_check(self, rng, ids, pairs):
+        assert issubclass(QubitSetMismatch, StateError)
+        with pytest.raises(QubitSetMismatch, match=re.escape(f"pairs {pairs}")):
+            expand_in_cross_bell(random_state(ids, rng), pairs)
+
+    def test_zero_pairs_expand_the_empty_state(self):
+        assert expand_in_cross_bell(PureState((), [1]), []) == {(): 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=states_on_pairs())
+    @example(case=(_REVERSED_STATE, [(4, 1), (3, 2)]))
+    def test_kernel_equals_the_inner_product_reference(self, case):
+        # reference: <T|s> against every basis state T built whole
+        s, pairs = case
+        coeffs = expand_in_cross_bell(s, pairs)
+        assert list(coeffs) == list(kind_tuples(len(pairs)))
+        amps = canonicalize(s).amps
+        for kinds, c in coeffs.items():
+            reference = np.vdot(cross_bell_state(kinds, pairs).amps, amps)
+            assert abs(c - reference) <= EXACT_TOL
 
 
 class TestPauliAndTokens:

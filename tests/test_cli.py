@@ -19,7 +19,7 @@ import crossbell.cli as cli_module
 import crossbell.teleport as teleport_module
 from crossbell import __version__
 from crossbell.bell import KIND_ORDER, BellKind, cross_bell_state, parse_channel
-from crossbell.cli import MAX_BASIS_PARTIES, MAX_PARTIES, _resolve_client, main
+from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
 from crossbell.teleport import ProtocolLayout, run_protocol
 from conftest import chi_square, random_state
@@ -633,7 +633,7 @@ class TestExpandCommand:
 
     def test_largest_advertised_pair_count_expands(self, capsys, tmp_path, rng):
         path = tmp_path / "state.txt"
-        ids = tuple(range(1, 2 * MAX_BASIS_PARTIES + 1))
+        ids = tuple(range(1, 2 * MAX_PARTIES + 1))
         with open(path, "w") as fp:
             save_state(random_state(ids, rng), fp)
         pairs = ",".join(f"{q}:{q + 1}" for q in ids[::2])
@@ -642,21 +642,41 @@ class TestExpandCommand:
         )
         assert code == 0
         coefficients = payload["coefficients"]
-        assert len(coefficients) == 4**MAX_BASIS_PARTIES == 1024
+        assert len(coefficients) == 4**MAX_PARTIES == 16384
         total = sum(re**2 + im**2 for re, im in coefficients.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_one_pair_over_the_limit_exits_2_before_the_state_is_read(
         self, capsys, tmp_path
     ):
-        ids = range(1, 2 * MAX_BASIS_PARTIES + 3)
+        ids = range(1, 2 * MAX_PARTIES + 3)
         pairs = ",".join(f"{q}:{q + 1}" for q in ids[::2])
         missing = tmp_path / "missing.state"
         code, out, err = run_cli(
             capsys, "expand", "--state", str(missing), "--pairs", pairs
         )
         assert code == 2 and out == ""
-        assert err == "error: expand takes at most 5 pairs\n"
+        assert err == "error: expand takes at most 7 pairs\n"
+
+    @pytest.mark.parametrize(
+        "ids, pairs",
+        [((1, 2, 3), "1:1,2:3"), ((1, 2, 3), "1:2,2:3"), ((1, 2, 3, 4), "1:2,1:2")],
+        ids=["qubit-named-twice", "overlapping", "repeated-pair"],
+    )
+    def test_malformed_pairs_exit_2_naming_them(
+        self, capsys, tmp_path, rng, ids, pairs
+    ):
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(random_state(ids, rng), fp)
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", pairs
+        )
+        assert code == 2 and out == ""
+        named = [tuple(map(int, p.split(":"))) for p in pairs.split(",")]
+        assert err == (
+            f"error: state over {list(ids)} does not live on pairs {named}\n"
+        )
 
 
 class TestOutFile:

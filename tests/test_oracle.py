@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -34,14 +35,17 @@ from crossbell.oracle import (
     verify_paper_tables,
 )
 from crossbell.statevec import (
+    CHAIN_TOL,
+    EXACT_TOL,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
     PureState,
     ket,
 )
-from crossbell.measure import project_onto_bell
+from crossbell.measure import _project_raw, project_onto_bell
 from crossbell.teleport import (
+    _PAIR_CORRECTIONS,
     ProtocolLayout,
     corrections_for,
     prepare_channel,
@@ -113,6 +117,46 @@ class TestTransferMatrix:
         norm = np.linalg.norm(column)
         assert norm**2 == pytest.approx(report.probability, abs=1e-12)
         assert np.allclose(column / norm, report.bob_pre_state.amps, atol=1e-12)
+
+
+def transfer_matrix_in_blocks(kinds, outcome):
+    """``transfer_matrix`` with the oracle's own kernel (``_project_raw``),
+    8 client columns at a time, so the whole kron(channel, eye(2^n)) is
+    never held."""
+    layout = ProtocolLayout(len(kinds))
+    channel = prepare_channel(kinds)
+    eye = np.eye(2**layout.n)
+    blocks = []
+    for start in range(0, 2**layout.n, 8):
+        qubits = channel.qubits + layout.client_ids
+        columns = np.kron(channel.amps[:, None], eye[:, start : start + 8])
+        for pair, kind in zip(layout.measure_pairs, outcome):
+            qubits, columns = _project_raw(qubits, columns, pair, kind)
+        blocks.append(columns)
+    return np.hstack(blocks)
+
+
+class TestTransferMatrixComposition:
+    # n = 7 is left out: in 8-column blocks it took 4.9 s and 654 MB
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_scaled_transfer_is_the_kron_of_single_pair_entries(self, rng, n):
+        # the claim that lets teleport correct pair by pair without the oracle
+        build = transfer_matrix if n <= 5 else transfer_matrix_in_blocks
+        for _ in range(2):
+            channel = rng.integers(4, size=n)
+            outcome = rng.integers(4, size=n)
+            scaled = (2**n) * build(
+                tuple(KIND_ORDER[c] for c in channel),
+                tuple(KIND_ORDER[k] for k in outcome),
+            )
+            composed = reduce(np.kron, _PAIR_CORRECTIONS[channel, outcome])
+            assert np.max(np.abs(scaled - composed)) <= CHAIN_TOL
+
+    def test_blocks_equal_the_whole_transfer_matrix(self, rng):
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=4))
+        outcome = tuple(KIND_ORDER[k] for k in rng.integers(4, size=4))
+        got = transfer_matrix_in_blocks(kinds, outcome)
+        assert np.max(np.abs(got - transfer_matrix(kinds, outcome))) <= EXACT_TOL
 
 
 class TestDeriveCorrection:
