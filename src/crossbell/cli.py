@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
@@ -236,9 +237,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
         state = load_state(fp)
     coefficients = expand_in_cross_bell(state, pairs)
     payload = _envelope("expand", {"state": args.state, "pairs": args.pairs})
+    tokens = product([kind.token for kind in KIND_ORDER], repeat=len(pairs))
     payload["coefficients"] = {
-        ",".join(k.token for k in kinds): [c.real, c.imag]
-        for kinds, c in coefficients.items()
+        ",".join(key): [c.real, c.imag] for key, c in zip(tokens, coefficients.values())
     }
     _emit(payload, args.out)
     return 0

@@ -73,8 +73,6 @@ def _check_pair(s: PureState, pair: tuple[int, int]) -> PureState:
     for q in pair:
         if q not in s.qubits:
             raise MissingQubit(f"qubit {q} not in state over {s.qubits}")
-    if s.n_qubits < 2:
-        raise MissingQubit("Bell measurement needs a state of at least 2 qubits")
     return canonicalize(s)
 
 

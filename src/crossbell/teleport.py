@@ -169,25 +169,31 @@ def _single_pair_table() -> np.ndarray:
     return 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
 
 
-def _pair_inverses(table: np.ndarray) -> np.ndarray:
-    """Bob's inverses: the conjugate transpose of each entry of ``table``,
-    each checked with ``is_unitary2`` as ``apply_local`` checks a gate."""
+def _pauli_frame(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's inverses, ``table``'s conjugate transposes, as a Pauli frame: row
+    r of inverse (c, k) holds one real nonzero, ``factors[c, k, r]``, at column
+    ``r ^ flips[c, k]``. Each is checked with ``is_unitary2``, as ``apply_local``
+    checks a gate, and entry by entry against its frame."""
     inverses = table.conj().swapaxes(-1, -2)
+    flips = (abs(inverses[..., 0, 1]) > abs(inverses[..., 0, 0])).astype(np.intp)
+    columns = np.arange(2) ^ flips[..., None]
+    factors = np.take_along_axis(inverses, columns[..., None], -1)[..., 0].real
     for c, k in np.ndindex(4, 4):
-        if not is_unitary2(inverses[c, k]):
+        frame = np.diag(factors[c, k])[:, columns[c, k]]
+        if not (is_unitary2(inverses[c, k]) and np.array_equal(inverses[c, k], frame)):
             raise StateError(
                 f"single-pair correction ({KIND_ORDER[c].token}, "
-                f"{KIND_ORDER[k].token}) is not a 2x2 unitary"
+                f"{KIND_ORDER[k].token}) is not a signed Pauli"
             )
-    return inverses
+    return flips, factors
 
 
 # The channel is a product of independent pairs, so slot m's correction is
 # the single-pair one for its own channel kind and outcome.
 _PAIR_CORRECTIONS = _single_pair_table()
-_PAIR_INVERSES = _pair_inverses(_PAIR_CORRECTIONS)
-# Leaves corrected per array step: bounds the temporary rows held at once.
-_BLOCK_ROWS = 1024
+# Slot m's inverse flips Bob's bit m by _FLIPS[channel, outcome] and scales
+# the row whose bit m is b by the real _FACTORS[channel, outcome, b].
+_FLIPS, _FACTORS = _pauli_frame(_PAIR_CORRECTIONS)
 # KIND_ORDER as an array, so indexing it with an array of codes gives kinds.
 _KIND_OF = np.array(KIND_ORDER, dtype=object)
 
@@ -259,25 +265,20 @@ def _correct(
     """Bob's corrected state for each leaf of ``walk``, one row per leaf, and
     each row's fidelity to the client amplitudes ``reference``.
 
-    Leaf rows hold Bob's state on ids 1..n, so slot m is axis m, and column m
-    of ``walk.outcomes`` picks each row's inverse for it. Each block of
-    ``_BLOCK_ROWS`` rows is corrected at once: with ``inv`` each row's
-    inverse for slot m, axis m becomes ``inv[:, 0] * psi[0] + inv[:, 1] *
-    psi[1]``, two broadcast multiply-adds of the inverse's columns. That is
-    elementwise, with no BLAS kernel, so a row's bits do not depend on the
-    rows sharing its call.
+    Leaf rows hold Bob's state on ids 1..n, so slot m is bit n - 1 - m of a
+    row's index, and column m of ``walk.outcomes`` picks each row's frame for
+    it. One gather applies every slot's flip at once; then slot m's signed
+    factors scale the float view in place, in slot order. Each step is
+    elementwise, so a row's bits do not depend on the rows sharing its call.
     """
-    corrected = np.empty_like(walk.leaves)
-    for start in range(0, len(walk.outcomes), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        codes, rows = walk.outcomes[block], walk.leaves[block]
-        for m, channel in enumerate(kinds):
-            # axis 3 is s, the inverse's column and psi's bit m, in both
-            inv = _PAIR_INVERSES[channel.code, codes[:, m]][:, None, :, :, None]
-            psi = rows.reshape(len(rows), 2**m, 1, 2, -1)
-            rows = inv[:, :, :, 0] * psi[:, :, :, 0] + inv[:, :, :, 1] * psi[:, :, :, 1]
-            rows = rows.reshape(len(rows), -1)
-        corrected[block] = rows
+    n, codes, channels = len(kinds), walk.outcomes, np.array([k.code for k in kinds])
+    lanes = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
+    mask = (_FLIPS[channels, codes] @ (1 << np.arange(n)[::-1])).astype(lanes.dtype)
+    corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]
+    floats, factors = corrected.view(np.float64), _FACTORS[channels, codes]
+    for m in range(n):
+        slot = floats.reshape(len(codes), 2**m, 2, -1)
+        slot *= factors[:, m, None, :, None]
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
     return corrected, fidelities
 

@@ -18,7 +18,9 @@ import crossbell
 import crossbell.cli as cli_module
 import crossbell.teleport as teleport_module
 from crossbell import __version__
-from crossbell.bell import KIND_ORDER, BellKind, cross_bell_state, parse_channel
+from crossbell.bell import (
+    KIND_ORDER, BellKind, cross_bell_state, expand_in_cross_bell, parse_channel
+)
 from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
 from crossbell.teleport import ProtocolLayout, run_protocol
@@ -645,6 +647,35 @@ class TestExpandCommand:
         assert len(coefficients) == 4**MAX_PARTIES == 16384
         total = sum(re**2 + im**2 for re, im in coefficients.values())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_pairs", [1, 3, 7])
+    def test_stdout_is_the_indented_dump_of_token_keyed_coefficients(
+        self, capsys, tmp_path, rng, n_pairs
+    ):
+        ids = tuple(range(1, 2 * n_pairs + 1))
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(random_state(ids, rng), fp)
+        with open(path) as fp:
+            state = load_state(fp)
+        pairs = [(q, q + 1) for q in ids[::2]]
+        spec = ",".join(f"{a}:{b}" for a, b in pairs)
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", spec
+        )
+        assert code == 0, err
+        payload = {
+            "tool_version": __version__,
+            "schema_version": 1,
+            "command": "expand",
+            "config": {"state": str(path), "pairs": spec},
+            "coefficients": {
+                ",".join(k.token for k in kinds): [c.real, c.imag]
+                for kinds, c in expand_in_cross_bell(state, pairs).items()
+            },
+        }
+        # compared line by line: a failing diff of the whole text is slow
+        assert out.split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
 
     def test_one_pair_over_the_limit_exits_2_before_the_state_is_read(
         self, capsys, tmp_path

@@ -16,6 +16,7 @@ import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
 from crossbell.measure import _contract, bell_collapse, project_onto_bell
 from crossbell.statevec import (
+    CHAIN_TOL,
     EXACT_TOL,
     SIGMA_0,
     SIGMA_X,
@@ -26,6 +27,7 @@ from crossbell.statevec import (
     StateError,
     _close,
     fidelity,
+    is_unitary2,
     ket,
 )
 from crossbell.teleport import (
@@ -70,20 +72,17 @@ def sampled_reports(kinds, client, seeds) -> list:
 
 
 def einsum_correct(kinds, walk, reference):
-    """Reference for ``_correct``: slot m's inverses act on axis m of each
-    block of rows through one ``einsum("nrs,nasb->narb")``, the form the
-    step took before its elementwise multiply-adds."""
-    corrected = np.empty_like(walk.leaves)
-    for start in range(0, len(walk.outcomes), teleport_module._BLOCK_ROWS):
-        block = slice(start, start + teleport_module._BLOCK_ROWS)
-        codes, rows = walk.outcomes[block], walk.leaves[block]
-        for m, channel in enumerate(kinds):
-            inverse = teleport_module._PAIR_INVERSES[channel.code, codes[:, m]]
-            psi = rows.reshape(len(rows), 2**m, 2, -1)
-            rows = np.einsum("nrs,nasb->narb", inverse, psi).reshape(len(rows), -1)
-        corrected[block] = rows
-    fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
-    return corrected, fidelities.tolist()
+    """Reference for ``_correct``: each row's inverses, the conjugate
+    transposes of ``_PAIR_CORRECTIONS`` entries, act on axis m of the rows
+    through one ``einsum("nrs,nasb->narb")`` per slot m, over all rows."""
+    inverses = teleport_module._PAIR_CORRECTIONS.conj().swapaxes(-1, -2)
+    codes, rows = walk.outcomes, walk.leaves
+    for m, channel in enumerate(kinds):
+        psi = rows.reshape(len(rows), 2**m, 2, -1)
+        rows = np.einsum("nrs,nasb->narb", inverses[channel.code, codes[:, m]], psi)
+        rows = rows.reshape(len(codes), -1)
+    fidelities = abs(np.einsum("ni,i->n", rows, reference.conj())) ** 2
+    return rows, fidelities.tolist()
 
 
 class TestLayout:
@@ -469,16 +468,37 @@ class TestCorrectStep:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
+    def test_any_subset_of_leaves_corrects_to_the_same_bytes(self, rng):
         kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
         client = random_client(3, rng)
-        whole = run_protocol(kinds, client)
-        monkeypatch.setattr(teleport_module, "_BLOCK_ROWS", 5)
-        for a, b in zip(whole, run_protocol(kinds, client), strict=True):
-            assert a.outcome == b.outcome and a.probability == b.probability
-            assert np.array_equal(a.bob_pre_state.amps, b.bob_pre_state.amps)
-            assert np.array_equal(a.bob_corrected.amps, b.bob_corrected.amps)
-            assert a.fidelity_vs_client == b.fidelity_vs_client
+        walk = teleport_module._walk(kinds, client)
+        whole, fidelities = teleport_module._correct(kinds, walk, client.amps)
+        for size in (1, 5, 37, len(walk.leaves)):
+            picked = np.sort(rng.choice(len(walk.leaves), size=size, replace=False))
+            part = walk._replace(
+                outcomes=walk.outcomes[picked],
+                probabilities=walk.probabilities[picked],
+                leaves=walk.leaves[picked],
+            )
+            rows, part_fidelities = teleport_module._correct(kinds, part, client.amps)
+            assert rows.tobytes() == whole[picked].tobytes()
+            assert part_fidelities.tobytes() == fidelities[picked].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_frame_beyond_eight_index_bits_equals_the_einsum(self, rng, n):
+        # n = 9 rows need a uint16 lane index
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        walk = teleport_module._walk(kinds, client, rng.integers(2**63, size=64))
+        corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
+        expected, expected_fidelities = einsum_correct(kinds, walk, client.amps)
+        assert np.array_equal(corrected, expected)
+        assert fidelities.tobytes() == np.array(expected_fidelities).tobytes()
+
+    def test_sampled_run_at_nine_qubits_recovers_the_client(self, rng):
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=9))
+        (report,) = run_protocol(kinds, random_client(9, rng), mode="sample", seed=9)
+        assert report.fidelity_vs_client >= 1 - CHAIN_TOL
 
     def test_single_pair_table_equals_eight_basis_totals(self):
         # reference: one validated total state per channel kind and client bit
@@ -496,12 +516,12 @@ class TestCorrectStep:
 
     def test_import_check_rejects_a_corrupted_single_pair_entry(self):
         table = teleport_module._PAIR_CORRECTIONS.copy()
-        assert np.array_equal(
-            teleport_module._pair_inverses(table), teleport_module._PAIR_INVERSES
-        )
+        flips, factors = teleport_module._pauli_frame(table)
+        assert np.array_equal(flips, teleport_module._FLIPS)
+        assert np.array_equal(factors, teleport_module._FACTORS)
         table[2, 3] *= 1 + 1e-6
         with pytest.raises(StateError, match=r"\(phi\+, phi-\)"):
-            teleport_module._pair_inverses(table)
+            teleport_module._pauli_frame(table)
         # the check is a raise, not an assert, so python -O keeps it
         code = (
             "import crossbell.teleport as t\n"
@@ -509,13 +529,35 @@ class TestCorrectStep:
             "table = t._PAIR_CORRECTIONS.copy()\n"
             "table[2, 3] *= 1 + 1e-6\n"
             "try:\n"
-            "    t._pair_inverses(table)\n"
+            "    t._pauli_frame(table)\n"
             "except StateError:\n"
             "    print('rejected')\n"
         )
         result = run_optimized(code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "rejected"
+
+    def test_import_check_rejects_a_unitary_that_is_not_a_signed_pauli(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        assert is_unitary2(hadamard)
+        table = teleport_module._PAIR_CORRECTIONS.copy()
+        table[1, 2] = hadamard
+        with pytest.raises(StateError, match=r"\(psi-, phi\+\) is not a signed Pauli"):
+            teleport_module._pauli_frame(table)
+        code = (
+            "import numpy as np\n"
+            "import crossbell.teleport as t\n"
+            "from crossbell.statevec import StateError\n"
+            "table = t._PAIR_CORRECTIONS.copy()\n"
+            "table[1, 2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)\n"
+            "try:\n"
+            "    t._pauli_frame(table)\n"
+            "except StateError as error:\n"
+            "    print(error)\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert "(psi-, phi+) is not a signed Pauli" in result.stdout
 
 
 class TestRunProtocol:
