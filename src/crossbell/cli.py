@@ -61,44 +61,36 @@ def _emit(payload: dict | str | Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-# Trials whose record texts go out joined as one write.
-_TRIALS_PER_WRITE = 256
+# Table entries whose texts go out joined as one write.
+_ENTRIES_PER_WRITE = 256
 
-# One branch record at its depth in json.dumps(payload, indent=2), and each
-# outcome code's token as json writes it.
+# A teleport branch record and an expand coefficient at their depth in
+# json.dumps(payload, indent=2), and each outcome code's token as json writes it.
 _RECORD = (
     '\n    {\n      "outcome": [\n        %s\n      ],\n'
     '      "probability": %s,\n      "fidelity": %s\n    }'
 )
+_COEFFICIENT = '\n    %s: [\n      %s,\n      %s\n    ]'
 _QUOTED = np.array([encode_basestring_ascii(k.token) for k in KIND_ORDER], dtype=object)
 
 
-def _branch_pieces(
-    payload: dict, outcomes: np.ndarray, probabilities: np.ndarray,
-    fidelities: np.ndarray, order: Sequence[int],
+def _table_pieces(
+    payload: dict, key: str, texts: np.ndarray, order: Sequence[int]
 ) -> Iterator[str]:
-    """``json.dumps(payload, indent=2) + "\n"`` with the placeholder
-    ``payload["branches"] = None`` read as the records of leaves ``order``,
-    in pieces of up to ``_TRIALS_PER_WRITE`` records. ``order`` is not empty.
-
-    Leaf i's record (the tokens of codes ``outcomes[i]``, ``probabilities[i]``
-    and ``fidelities[i]``) is formatted once with the ``_RECORD`` template,
-    from the texts json itself writes: ``encode_basestring_ascii`` for a token
-    and ``float.__repr__`` for a finite float.
+    """``json.dumps(payload, indent=2) + "\n"`` with the empty list or dict
+    ``payload[key]`` read as the entries ``texts[order]``, in pieces of up to
+    ``_ENTRIES_PER_WRITE`` entries; ``order`` is not empty. Each text is made
+    once by its command with a template above, from the texts json writes:
+    ``encode_basestring_ascii`` for a string, ``float.__repr__`` for a float.
     """
+    empty, field = json.dumps(payload[key]), json.dumps(key) + ": "
     # string values escape their quotes, so only the key itself matches
-    head, _, tail = json.dumps(payload, indent=2).partition('"branches": null')
-    texts = np.array([
-        _RECORD % (",\n        ".join(tokens), float.__repr__(p), float.__repr__(f))
-        for tokens, p, f in zip(
-            _QUOTED[outcomes].tolist(), probabilities.tolist(), fidelities.tolist()
-        )
-    ], dtype=object)
-    sep = head + '"branches": ['
-    for start in range(0, len(order), _TRIALS_PER_WRITE):
-        yield sep + ",".join(texts[order[start : start + _TRIALS_PER_WRITE]])
+    head, _, tail = json.dumps(payload, indent=2).partition(field + empty)
+    sep = head + field + empty[0]
+    for start in range(0, len(order), _ENTRIES_PER_WRITE):
+        yield sep + ",".join(texts[order[start : start + _ENTRIES_PER_WRITE]])
         sep = ","
-    yield "\n  ]" + tail + "\n"
+    yield "\n  " + empty[1] + tail + "\n"
 
 
 def _envelope(command: str, config: dict) -> dict:
@@ -175,14 +167,18 @@ def cmd_teleport(args: argparse.Namespace) -> int:
             "seed": seed,
         },
     )
-    payload["branches"] = None  # streamed by _branch_pieces
+    payload["branches"] = []  # streamed by _table_pieces
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
         "max_prob_deviation": float(np.abs(walk.probabilities - 4.0**-n).max()),
     }
-    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(fidelities))
-    text = _branch_pieces(payload, walk.outcomes, walk.probabilities, fidelities, order)
-    _emit(text, args.out)
+    records = np.array([
+        _RECORD % (",\n        ".join(tokens), float.__repr__(p), float.__repr__(f))
+        for tokens, p, f in zip(_QUOTED[walk.outcomes].tolist(),
+                                walk.probabilities.tolist(), fidelities.tolist())
+    ], dtype=object)
+    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(records))
+    _emit(_table_pieces(payload, "branches", records, order), args.out)
     return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
 
 
@@ -222,10 +218,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(","):
-        left, sep, right = chunk.partition(":")
-        if not sep:
-            raise ValueError(f"bad pair {chunk!r}; expected 'a:b'")
-        pairs.append((int(left), int(right)))
+        try:  # int() strips spaces around an id
+            left, right = map(int, chunk.split(":"))
+        except ValueError:
+            raise ValueError(f"bad pair {chunk!r}; expected 'a:b'") from None
+        pairs.append((left, right))
     return pairs
 
 
@@ -237,11 +234,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
         state = load_state(fp)
     coefficients = expand_in_cross_bell(state, pairs)
     payload = _envelope("expand", {"state": args.state, "pairs": args.pairs})
+    payload["coefficients"] = {}  # streamed by _table_pieces
     tokens = product([kind.token for kind in KIND_ORDER], repeat=len(pairs))
-    payload["coefficients"] = {
-        ",".join(key): [c.real, c.imag] for key, c in zip(tokens, coefficients.values())
-    }
-    _emit(payload, args.out)
+    texts = np.array([
+        _COEFFICIENT % (encode_basestring_ascii(",".join(key)), float.__repr__(c.real),
+                        float.__repr__(c.imag))
+        for key, c in zip(tokens, coefficients.values())
+    ], dtype=object)
+    _emit(_table_pieces(payload, "coefficients", texts, range(len(texts))), args.out)
     return 0
 
 

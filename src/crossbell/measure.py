@@ -268,19 +268,19 @@ def walk_branches(
     level d first joins the 2-qubit state ``joins[d]``, a (pair, 4
     amplitudes) entry, onto every node (:func:`_join`), so a vector that is
     a product with independent pairs is never built whole: each node holds
-    only the pairs joined so far. Without ``draws`` every node keeps its
-    four children. With them, trial t follows one path: ``draws[t][d]``
-    picks its child at depth d as :func:`sample_kind` picks from
-    ``rng.random()``. ``draws`` is a (trials, depth) array, or lists that
-    convert to one, with at least one row; each level reads its column. Two
-    or more rows pick as array work (:func:`_pick_rows`); one row picks with
-    :func:`_pick`, bit for bit the same at less cost. Each child some trial
-    reaches is kept once, so trials that share a prefix share its nodes.
-    Every level keeps its children in ascending child index, so every walk
-    lists its leaves in code order, and a sampled walk is bit for bit the
-    enumerate walk's rows at the codes its trials reach. A leaf's probability
-    is the product of its per-pair Born probabilities. Each level gathers its
-    kept children's parent rows of ``outcomes`` and fills in its own column.
+    only the pairs joined so far. Without ``draws`` every node keeps its four
+    children. With them, trial t follows one path: ``draws[t][d]`` picks its
+    child at depth d as :func:`sample_kind` picks from ``rng.random()``.
+    ``draws`` is a (trials, depth) array in [0, 1), or lists that convert to
+    one, with at least one row; each level reads its column. Two or more rows
+    pick as array work (:func:`_pick_rows`); one row picks with :func:`_pick`,
+    bit for bit the same at less cost. Each child some trial reaches is kept
+    once, so trials that share a prefix share its nodes. Every level keeps its
+    children in ascending child index, so every walk lists its leaves in code
+    order, and a sampled walk is bit for bit the enumerate walk's rows at the
+    codes its trials reach. A leaf's probability is the product of its
+    per-pair Born probabilities. Each level gathers its kept children's parent
+    rows of ``outcomes`` and fills in its own column.
     """
     level = vec.reshape(1, -1)
     outcomes = np.zeros((1, len(pairs)), dtype=np.intp)
@@ -293,6 +293,9 @@ def walk_branches(
                 f"draws must have shape (rows, {len(pairs)}) with rows >= 1, "
                 f"got {draws.shape}"
             )
+        low, high = draws.min(), draws.max()  # NaN if any draw is NaN
+        if not 0.0 <= low <= high < 1.0:
+            raise ValueError(f"draws must lie in [0, 1), got {low} to {high}")
         trial_node = np.zeros(len(draws), dtype=np.intp)
     if joins is not None and len(joins) != len(pairs):
         raise ValueError(f"{len(joins)} joins for {len(pairs)} measured pairs")

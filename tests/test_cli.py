@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ import crossbell.cli as cli_module
 import crossbell.teleport as teleport_module
 from crossbell import __version__
 from crossbell.bell import (
-    KIND_ORDER, BellKind, cross_bell_state, expand_in_cross_bell, parse_channel
+    KIND_ORDER, BellKind, cross_bell_state, expand_in_cross_bell, kind_tuples,
+    parse_channel,
 )
 from crossbell.cli import MAX_PARTIES, _resolve_client, main
 from crossbell.statevec import PureState, load_state, save_state
@@ -69,6 +71,23 @@ _PRESET_DIGESTS = {
     ("uniform", 3): "a12bdfb9dc1b2d8dd177c13a0d02d27cf0f640f9bb34aabcf22c26a9024724f5",
     ("uniform", 4): "f01faa748e5ad8ccae45af08eead5b0fa3a35a7169318c9b5ddf3ca5f1be370b",
 }
+
+
+# Digests of expand's coefficients, re-serialized with sorted keys, recorded
+# while expand wrote its whole payload with json.dumps. They pin the values
+# apart from the writer and from the expansion that the byte test shares.
+_EXPAND_DIGESTS = {
+    ("random", 1): "44c7ff81621717e8ad4e10bab7a323c08110d35d9ac3ae8c4fd45082ac6c1cb5",
+    ("random", 3): "19c112160b5405613f6290b3458ea656f31ea359fdbff2a470600aea6a17a060",
+    ("random", 7): "08794d789fd80e3478c5510d0295c009035f58b3f9a58eff6ceb9eae200d76a8",
+    ("basis", 3): "ec41fe70f3a226ce7f9e6f6087ea3ff25420c44523ce92b6c4cc75aa94e13ca9",
+}
+
+
+def coefficient_digest(text: str) -> str:
+    """sha256 of an expand report's coefficients, re-serialized with sorted keys."""
+    coefficients = json.loads(text)["coefficients"]
+    return hashlib.sha256(json.dumps(coefficients, sort_keys=True).encode()).hexdigest()
 
 
 # Runs argv[1:] and prints its exit code and ru_maxrss. A process started
@@ -452,31 +471,57 @@ class TestTeleportCommand:
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
 
-    # where repr switches between fixed and exponent notation, and the
-    # extremes: the least subnormal, the largest double below 1
-    FLOATS = [5e-324, 1e-300, 2.5e-5, 1e-4, 0.1 + 0.2, 1 - 2**-53, 1.0, 1e16]
+    # where repr switches between fixed and exponent notation, the extremes
+    # (the least subnormal, the largest double below 1), and a negative zero
+    FLOATS = [5e-324, 1e-300, 2.5e-5, 1e-4, 0.1 + 0.2, 1 - 2**-53, 1.0, 1e16, -0.0]
+    # orders of 1, 8 and 9 of the 9 entries: a branch order repeats a leaf,
+    # as two trials that reach it do; a dict's keys are distinct
+    ORDERS = {
+        "branches": {1: [5], 8: list(range(8))[::-1], 9: list(range(8)) + [0]},
+        "coefficients": {1: [8], 8: list(range(1, 9)), 9: list(range(9))[::-1]},
+    }
 
     @pytest.mark.parametrize("length", [1, 8, 9], ids=["one", "block", "block+1"])
     def test_record_template_writes_what_json_writes(self, monkeypatch, length):
-        monkeypatch.setattr(cli_module, "_TRIALS_PER_WRITE", 8)
-        order = {1: [5], 8: list(range(8))[::-1], 9: list(range(8)) + [0]}[length]
-        payload = {"command": "teleport", "branches": None, "aggregate": {"x": 0.1}}
-        probabilities, fidelities = self.FLOATS, self.FLOATS[::-1]
+        monkeypatch.setattr(cli_module, "_ENTRIES_PER_WRITE", 8)
+        firsts, seconds = self.FLOATS, self.FLOATS[::-1]
+        envelope = {"command": "teleport", "aggregate": {"x": 0.1}}
+
+        def check(key, container, texts, entries):
+            # texts[i] is what json writes for entries[i], an item of a list
+            # or a (key, value) item of a dict
+            order = self.ORDERS[key][length]
+            pieces = list(cli_module._table_pieces(
+                dict(envelope, **{key: container()}), key,
+                np.array(texts, dtype=object), order,
+            ))
+            expected = dict(envelope, **{key: container(entries[i] for i in order)})
+            assert "".join(pieces) == json.dumps(expected, indent=2) + "\n"
+            # one piece per block of entries, then the envelope's tail
+            assert len(pieces) == -(-length // 8) + 1
+
         for depth in (1, 2, 3):
             # leaf i's codes are i, i + 1, ... mod 4, so every code appears
-            outcomes = (np.arange(8)[:, None] + np.arange(depth)) % 4
-            records = [
+            outcomes = (np.arange(9)[:, None] + np.arange(depth)) % 4
+            check("branches", list, [
+                cli_module._RECORD % (
+                    ",\n        ".join(cli_module._QUOTED[codes]),
+                    float.__repr__(p), float.__repr__(f),
+                )
+                for codes, p, f in zip(outcomes, firsts, seconds)
+            ], [
                 {"outcome": [KIND_ORDER[c].token for c in codes], "probability": p,
                  "fidelity": f}
-                for codes, p, f in zip(outcomes.tolist(), probabilities, fidelities)
-            ]
-            pieces = list(cli_module._branch_pieces(
-                payload, outcomes, np.array(probabilities), np.array(fidelities), order
-            ))
-            expected = dict(payload, branches=[records[i] for i in order])
-            assert "".join(pieces) == json.dumps(expected, indent=2) + "\n"
-            # one piece per block of trials, then the envelope's tail
-            assert len(pieces) == -(-length // 8) + 1
+                for codes, p, f in zip(outcomes.tolist(), firsts, seconds)
+            ])
+        # expand's coefficients: a dict placeholder, keyed by joined tokens
+        keys = [",".join(k.token for k in kinds) for kinds in kind_tuples(2)][:9]
+        check("coefficients", dict, [
+            cli_module._COEFFICIENT % (
+                encode_basestring_ascii(key), float.__repr__(re), float.__repr__(im)
+            )
+            for key, re, im in zip(keys, firsts, seconds)
+        ], [(key, [re, im]) for key, re, im in zip(keys, firsts, seconds)])
 
 
 class TestPinnedValues:
@@ -511,6 +556,26 @@ class TestPinnedValues:
             "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3"
         )
 
+
+    @pytest.mark.parametrize("source, n_pairs", sorted(_EXPAND_DIGESTS))
+    def test_expand_coefficients(self, capsys, tmp_path, source, n_pairs):
+        # qubit q pairs with q + n_pairs, so the pairs interleave
+        pairs = [(q, q + n_pairs) for q in range(1, n_pairs + 1)]
+        if source == "random":
+            ids = tuple(range(1, 2 * n_pairs + 1))
+            state = random_state(ids, np.random.default_rng(n_pairs))
+        else:
+            kinds = (BellKind.PSI_MINUS, BellKind.PHI_MINUS, BellKind.PSI_PLUS)
+            state = cross_bell_state(kinds, pairs)
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(state, fp)
+        spec = ",".join(f"{a}:{b}" for a, b in pairs)
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", spec
+        )
+        assert code == 0, err
+        assert coefficient_digest(out) == _EXPAND_DIGESTS[source, n_pairs]
 
 class TestVersion:
     def test_pyproject_version_equals_the_package_version(self):
@@ -624,15 +689,6 @@ class TestExpandCommand:
         total = sum(re**2 + im**2 for re, im in coefficients.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_bad_pairs_syntax(self, capsys, tmp_path, rng):
-        path = tmp_path / "state.txt"
-        with open(path, "w") as fp:
-            save_state(random_state((1, 2), rng), fp)
-        code, _, err = run_cli(
-            capsys, "expand", "--state", str(path), "--pairs", "1-2"
-        )
-        assert code == 2
-
     def test_largest_advertised_pair_count_expands(self, capsys, tmp_path, rng):
         path = tmp_path / "state.txt"
         ids = tuple(range(1, 2 * MAX_PARTIES + 1))
@@ -648,22 +704,13 @@ class TestExpandCommand:
         total = sum(re**2 + im**2 for re, im in coefficients.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n_pairs", [1, 3, 7])
-    def test_stdout_is_the_indented_dump_of_token_keyed_coefficients(
-        self, capsys, tmp_path, rng, n_pairs
-    ):
-        ids = tuple(range(1, 2 * n_pairs + 1))
-        path = tmp_path / "state.txt"
-        with open(path, "w") as fp:
-            save_state(random_state(ids, rng), fp)
+    @staticmethod
+    def indented_dump(path, spec):
+        """``json.dumps(payload, indent=2) + "\n"`` of the payload expand
+        reports for the state file ``path`` on pairs ``spec``."""
         with open(path) as fp:
             state = load_state(fp)
-        pairs = [(q, q + 1) for q in ids[::2]]
-        spec = ",".join(f"{a}:{b}" for a, b in pairs)
-        code, out, err = run_cli(
-            capsys, "expand", "--state", str(path), "--pairs", spec
-        )
-        assert code == 0, err
+        pairs = [tuple(map(int, p.split(":"))) for p in spec.split(",")]
         payload = {
             "tool_version": __version__,
             "schema_version": 1,
@@ -674,8 +721,39 @@ class TestExpandCommand:
                 for kinds, c in expand_in_cross_bell(state, pairs).items()
             },
         }
+        return json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n_pairs", [1, 3, 7])
+    def test_stdout_is_the_indented_dump_of_token_keyed_coefficients(
+        self, capsys, tmp_path, rng, n_pairs
+    ):
+        ids = tuple(range(1, 2 * n_pairs + 1))
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(random_state(ids, rng), fp)
+        spec = ",".join(f"{q}:{q + 1}" for q in ids[::2])
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", spec
+        )
+        assert code == 0, err
         # compared line by line: a failing diff of the whole text is slow
-        assert out.split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
+        assert out.split("\n") == self.indented_dump(path, spec).split("\n")
+
+    def test_negative_and_exact_zeros_write_as_json_writes_them(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "zeros.state"
+        path.write_text(
+            "crossbell-state v1\nqubits 1 2\n-0.0 -0.0\n0.6 -0.0\n-0.8 -0.0\n"
+            "-0.0 -0.0\n"
+        )
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", "1:2"
+        )
+        assert code == 0, err
+        assert out == self.indented_dump(path, "1:2")
+        assert len(re.findall(r"^ +-0\.0,?$", out, re.M)) == 3
+        assert len(re.findall(r"^ +0\.0,?$", out, re.M)) == 3
 
     def test_one_pair_over_the_limit_exits_2_before_the_state_is_read(
         self, capsys, tmp_path
@@ -709,6 +787,48 @@ class TestExpandCommand:
             f"error: state over {list(ids)} does not live on pairs {named}\n"
         )
 
+
+    @pytest.mark.parametrize(
+        "pairs, chunk",
+        [("1-2", "1-2"), ("1:3:5", "1:3:5"), ("a:b", "a:b"), ("1:3,2:4x", "2:4x"),
+         ("1:3,", ""), (":3", ":3")],
+        ids=["no-colon", "two-colons", "not-numbers", "trailing-letter", "empty",
+             "no-left-id"],
+    )
+    def test_bad_pairs_syntax(self, capsys, tmp_path, rng, pairs, chunk):
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(random_state((1, 2, 3, 4), rng), fp)
+        code, out, err = run_cli(
+            capsys, "expand", "--state", str(path), "--pairs", pairs
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: bad pair {chunk!r}; expected 'a:b'\n"
+
+    def test_spaces_around_ids_are_accepted(self, capsys, tmp_path, rng):
+        path = tmp_path / "state.txt"
+        with open(path, "w") as fp:
+            save_state(random_state((1, 2, 3, 4), rng), fp)
+        spaced = run_json(
+            capsys, "expand", "--state", str(path), "--pairs", " 1 : 3, 2:4 "
+        )
+        plain = run_json(capsys, "expand", "--state", str(path), "--pairs", "1:3,2:4")
+        assert spaced[0] == plain[0] == 0
+        assert spaced[1]["coefficients"] == plain[1]["coefficients"]
+
+    def test_largest_pair_count_peaks_within_a_third_of_one_pair(
+        self, tmp_path, rng
+    ):
+        # the coefficients go out as text, with no dict of 4**n lists to dump
+        def peak_rss(n_pairs):
+            ids = tuple(range(1, 2 * n_pairs + 1))
+            path = tmp_path / f"{n_pairs}.state"
+            with open(path, "w") as fp:
+                save_state(random_state(ids, rng), fp)
+            pairs = ",".join(f"{q}:{q + 1}" for q in ids[::2])
+            return cli_peak_rss("expand", "--state", str(path), "--pairs", pairs)
+
+        assert peak_rss(MAX_PARTIES) <= 1.35 * peak_rss(1)
 
 class TestOutFile:
     @pytest.mark.parametrize(

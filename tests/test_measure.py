@@ -27,7 +27,7 @@ from crossbell.statevec import (
 from crossbell.teleport import (
     ProtocolLayout, prepare_channel, run_protocol, run_session, total_state
 )
-from conftest import random_state
+from conftest import random_state, run_optimized
 
 
 def reference_total(client_amps) -> PureState:
@@ -367,6 +367,35 @@ class TestWalkBranches:
         with pytest.raises(ValueError, match=r"shape \(rows, 2\)"):
             walk_branches(s.qubits, s.amps, PAIRS, draws)
 
+    @pytest.mark.parametrize(
+        "draws",
+        [[[np.nan]], [[np.nan], [np.nan]], [[1.5]], [[-0.5]], [[0.5], [1.0]]],
+        ids=["nan-one-row", "nan-rows", "above-one", "negative", "one"],
+    )
+    def test_draws_outside_the_unit_interval_are_rejected(self, rng, draws):
+        # unchecked, a NaN draw picked phi- through _pick, psi+ through _pick_rows
+        s = random_state((1, 2), rng)
+        with pytest.raises(ValueError, match=r"draws must lie in \[0, 1\)"):
+            walk_branches(s.qubits, s.amps, [(1, 2)], draws)
+
+    def test_draw_check_is_a_raise_that_python_O_keeps(self):
+        code = (
+            "import numpy as np\n"
+            "from crossbell.measure import walk_branches\n"
+            "for draws in ([[np.nan]], [[np.nan], [np.nan]], [[0.5], [1.5]]):\n"
+            "    try:\n"
+            "        walk_branches((1, 2), np.full(4, 0.5), [(1, 2)], draws)\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "draws must lie in [0, 1), got nan to nan",
+            "draws must lie in [0, 1), got nan to nan",
+            "draws must lie in [0, 1), got 0.5 to 1.5",
+        ]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -400,12 +429,13 @@ class TestWalkBranches:
             return remaining, rows, probs
 
         def edges(row):
-            # the accumulated sums _pick compares against, and just below
+            # the accumulated sums _pick compares against, and just below,
+            # that are draws: a sum can round to 1 or above
             acc, out = 0.0, [0.0, 1 - 2**-53]
             for p in row:
                 acc += p
                 out += [acc, float(np.nextafter(acc, 0))]
-            return out
+            return [u for u in out if u < 1.0]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measure_module, "_contract", stub)
