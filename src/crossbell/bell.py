@@ -158,13 +158,12 @@ def cross_bell_basis(pairs: Sequence[tuple[int, int]]) -> list[PureState]:
     return [cross_bell_state(kinds, pairs) for kinds in kind_tuples(len(pairs))]
 
 
-def expand_in_cross_bell(
+def _cross_bell_coefficients(
     s: PureState, pairs: Sequence[tuple[int, int]]
-) -> dict[tuple[BellKind, ...], complex]:
+) -> np.ndarray:
     """Coefficients <T|s> of ``s`` in the cross-Bell basis of ``pairs``, in
     kind_tuples order: one unnormalized :func:`_contract` per pair, and no
-    basis state is built. They satisfy Parseval and reconstruct ``s``.
-    """
+    basis state is built. They satisfy Parseval and reconstruct ``s``."""
     if sorted(q for p in pairs for q in p) != sorted(s.qubits):
         raise QubitSetMismatch(
             f"state over {sorted(s.qubits)} does not live on pairs {list(pairs)}"
@@ -174,7 +173,15 @@ def expand_in_cross_bell(
     for pair in pairs:
         qubits, rows, _ = _contract(qubits, level, pair)
         level = rows.reshape(-1, rows.shape[-1])
-    return dict(zip(kind_tuples(len(pairs)), level[:, 0].tolist()))
+    return level[:, 0]
+
+
+def expand_in_cross_bell(
+    s: PureState, pairs: Sequence[tuple[int, int]]
+) -> dict[tuple[BellKind, ...], complex]:
+    """The coefficients of :func:`_cross_bell_coefficients`, keyed by kind tuple."""
+    coefficients = _cross_bell_coefficients(s, pairs).tolist()
+    return dict(zip(kind_tuples(len(pairs)), coefficients))
 
 
 _MATRIX_BASE = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}

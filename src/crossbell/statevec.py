@@ -62,9 +62,8 @@ def _validated(
     """The checks every PureState passes, run once over a whole block.
 
     ``amps`` is one state's amplitudes (``ndim`` 1) or a (k, 2**n) block with
-    one state per row (``ndim`` 2). Returns the ids as ints and a read-only
-    (k, 2**n) copy of the amplitudes.
-    """
+    one state per row (``ndim`` 2). Returns the ids as ints and a (k, 2**n)
+    view of ``amps`` (copied only if not complex C-order), marked read-only."""
     # zero qubits is legal: the scalar left after measuring everything
     try:
         ids = tuple(map(operator.index, qubits))
@@ -74,14 +73,13 @@ def _validated(
         raise StateError(f"qubit ids must be positive, got {ids}")
     if len(set(ids)) != len(ids):
         raise DuplicateQubit(f"repeated qubit id in {ids}")
-    amps = np.asarray(amps, dtype=complex)
+    amps = np.asarray(amps, dtype=complex, order="C")
     dim = 2 ** len(ids)
     if amps.ndim != ndim or amps.shape[-1:] != (dim,):
         raise StateError(
             f"expected {dim} amplitudes for {len(ids)} qubits, got shape {amps.shape}"
         )
-    block = amps.reshape(-1, dim).copy()
-    flat = block.view(np.float64)
+    flat = amps.reshape(-1, dim).view(np.float64)
     norms = np.einsum("ki,ki->k", flat, flat)
     deviation = abs(norms - 1.0)
     # a row with a non-finite amplitude has a NaN or infinite deviation, so
@@ -94,8 +92,10 @@ def _validated(
             f"outside 1 +/- {EXACT_TOL}; "
             "use PureState.renormalized to accept unnormalized input"
         )
-    block.setflags(write=False)
-    return ids, block
+    amps.setflags(write=False)
+    if isinstance(amps.base, np.ndarray):  # else a view's flag could be set back
+        amps.base.setflags(write=False)
+    return ids, amps.reshape(-1, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,32 +104,16 @@ class PureState:
 
     ``qubits`` may be non-ascending (a raw tensor product); most consumers
     want canonical (ascending) order, see :func:`canonicalize`. ``amps`` is a
-    read-only row view of a validated copy. States built together by
-    :meth:`rows` share that copy, so holding one of them (say, one report of
-    a walk) keeps the whole block alive.
+    read-only copy of the amplitudes it was built from.
     """
 
     qubits: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        qubits, block = _validated(self.qubits, self.amps, 1)
+        qubits, block = _validated(self.qubits, np.array(self.amps, dtype=complex), 1)
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "amps", block[0])
-
-    @classmethod
-    def rows(cls, qubits: Sequence[int], block: np.ndarray) -> list["PureState"]:
-        """One state per row of a (k, 2**n) block, all over ``qubits``: the
-        checks of the one-state constructor, run as array operations over the
-        whole block, and one read-only copy whose rows the states view."""
-        qubits, block = _validated(qubits, block, 2)
-        states = []
-        for row in block:
-            state = object.__new__(cls)
-            object.__setattr__(state, "qubits", qubits)
-            object.__setattr__(state, "amps", row)
-            states.append(state)
-        return states
 
     @classmethod
     def renormalized(cls, qubits: Sequence[int], amps: np.ndarray) -> "PureState":
@@ -154,6 +138,14 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> PureState:
+    """A state over a row of a block :func:`_validated` passed: no check, no copy."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "qubits", qubits)
+    object.__setattr__(state, "amps", row)
+    return state
 
 
 def ket(assignments: Mapping[int, int]) -> PureState:

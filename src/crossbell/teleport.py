@@ -30,6 +30,8 @@ from .statevec import (
     PureState,
     QubitSetMismatch,
     StateError,
+    _row_state,
+    _validated,
     apply_local,
     canonicalize,
     cross,
@@ -283,24 +285,35 @@ def _correct(
     return corrected, fidelities
 
 
-def _leaf_reports(
-    kinds: ChannelSpec, walk: Walk, reference: np.ndarray
-) -> list[TeleportReport]:
-    """One report per leaf of ``walk``, in leaf order: its outcome and
-    probability, Bob's state before and after :func:`_correct`, and the
-    fidelity to the client amplitudes ``reference``."""
-    corrected, fidelities = _correct(kinds, walk, reference)
-    # the corrected rows go once copied, so at most three blocks are held
-    post = PureState.rows(walk.qubits, corrected)
-    del corrected
-    pre = PureState.rows(walk.qubits, walk.leaves)
-    return [
-        TeleportReport(tuple(outcome), p, before, after, f)
-        for outcome, p, before, after, f in zip(
-            _KIND_OF[walk.outcomes].tolist(), walk.probabilities.tolist(),
-            pre, post, fidelities.tolist(),
-        )
-    ]
+class RunReports(Sequence[TeleportReport]):
+    """A run's branches in leaf order as read-only columns, uncopied from the
+    walk and :func:`_correct`, each row block checked once as PureStates are.
+    ``reports[i]`` builds branch i's report once; its states view the rows."""
+
+    def __init__(self, kinds: ChannelSpec, walk: Walk, reference: np.ndarray) -> None:
+        corrected, self.fidelities = _correct(kinds, walk, reference)
+        self.qubits, self.pre = _validated(walk.qubits, walk.leaves, 2)
+        _, self.post = _validated(walk.qubits, corrected, 2)
+        self.outcomes, self.probabilities = walk.outcomes, walk.probabilities
+        for column in (self.outcomes, self.probabilities, self.fidelities):
+            column.setflags(write=False)
+        self._built: dict[int, TeleportReport] = {}
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # an index error or a type error as a list's
+        report = self._built.get(i)
+        if report is None:  # setdefault keeps the first one built, on any thread
+            report = self._built.setdefault(i, TeleportReport(
+                tuple(_KIND_OF[self.outcomes[i]]), float(self.probabilities[i]),
+                _row_state(self.qubits, self.pre[i]),
+                _row_state(self.qubits, self.post[i]), float(self.fidelities[i]),
+            ))
+        return report
 
 
 def run_protocol(
@@ -308,7 +321,7 @@ def run_protocol(
     client: PureState,
     mode: str = "enumerate",
     seed: int | None = None,
-) -> list[TeleportReport]:
+) -> RunReports:
     """Run the full protocol.
 
     ``enumerate`` returns all 4**n outcome branches (probabilities sum to 1);
@@ -320,7 +333,7 @@ def run_protocol(
         raise ValueError("sample mode needs a seed")
     client = _check_client(client, ProtocolLayout(len(kinds)))
     walk = _walk(kinds, client, None if mode == "enumerate" else [seed])
-    return _leaf_reports(kinds, walk, client.amps)
+    return RunReports(kinds, walk, client.amps)
 
 
 # --- two-actor session over a byte transport ---
@@ -413,4 +426,4 @@ def run_session(
         )
     # Bob's corrections come from the frame, not from Alice's record
     walk = walk._replace(outcomes=np.array([[k.code for k in message.outcomes]]))
-    return _leaf_reports(kinds, walk, client.amps)[0]
+    return RunReports(kinds, walk, client.amps)[0]

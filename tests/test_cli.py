@@ -76,6 +76,8 @@ _PRESET_DIGESTS = {
 # Digests of expand's coefficients, re-serialized with sorted keys, recorded
 # while expand wrote its whole payload with json.dumps. They pin the values
 # apart from the writer and from the expansion that the byte test shares.
+# The random states are normalized without BLAS, so the pins hold whatever
+# the BLAS pool's size.
 _EXPAND_DIGESTS = {
     ("random", 1): "44c7ff81621717e8ad4e10bab7a323c08110d35d9ac3ae8c4fd45082ac6c1cb5",
     ("random", 3): "19c112160b5405613f6290b3458ea656f31ea359fdbff2a470600aea6a17a060",
@@ -562,8 +564,13 @@ class TestPinnedValues:
         # qubit q pairs with q + n_pairs, so the pairs interleave
         pairs = [(q, q + n_pairs) for q in range(1, n_pairs + 1)]
         if source == "random":
+            # normalized with a float-view einsum, not np.linalg.norm: a BLAS
+            # norm of 2**14 amplitudes rounds differently with the pool size
             ids = tuple(range(1, 2 * n_pairs + 1))
-            state = random_state(ids, np.random.default_rng(n_pairs))
+            rng = np.random.default_rng(n_pairs)
+            amps = rng.normal(size=2 ** len(ids)) + 1j * rng.normal(size=2 ** len(ids))
+            flat = amps.view(np.float64)
+            state = PureState(ids, amps / np.sqrt(np.einsum("i,i->", flat, flat)))
         else:
             kinds = (BellKind.PSI_MINUS, BellKind.PHI_MINUS, BellKind.PSI_PLUS)
             state = cross_bell_state(kinds, pairs)
@@ -576,6 +583,19 @@ class TestPinnedValues:
         )
         assert code == 0, err
         assert coefficient_digest(out) == _EXPAND_DIGESTS[source, n_pairs]
+
+    def test_pins_hold_with_one_blas_thread(self):
+        # this run covers the default BLAS pool; a child reruns the class's
+        # other tests with a pool of one
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::TestPinnedValues", "-k", "not blas"],
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout[-3000:]
+
 
 class TestVersion:
     def test_pyproject_version_equals_the_package_version(self):

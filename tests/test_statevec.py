@@ -27,6 +27,8 @@ from crossbell.statevec import (
     QubitSetMismatch,
     StateError,
     _close,
+    _row_state,
+    _validated,
     apply_local,
     canonicalize,
     cross,
@@ -51,12 +53,14 @@ def build_one(qubits, amps) -> PureState:
 
 
 def build_in_block(qubits, amps) -> PureState:
-    """``amps`` as the middle row of a three-row batch whose outer rows are
-    valid, so a check that reads only row 0 lets a bad middle row through."""
+    """``amps`` as the middle row of a three-row block whose outer rows are
+    valid, checked as a run checks its blocks, so a check that reads only
+    row 0 lets a bad middle row through."""
     amps = np.asarray(amps, dtype=complex)
     valid = np.zeros_like(amps)
     valid[..., 0] = 1.0
-    return PureState.rows(qubits, np.stack([valid, amps, valid]))[1]
+    qubits, block = _validated(qubits, np.stack([valid, amps, valid]), 2)
+    return _row_state(qubits, block[1])
 
 
 # Each rejection test runs every builder; a loop, not a parametrize, keeps
@@ -102,28 +106,35 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 s.amps.setflags(write=True)
 
-    def test_rows_view_one_copy_of_the_block(self):
-        block = np.eye(4, dtype=complex)[1:]
-        states = PureState.rows([np.int64(1), 2], block)
-        block[:] = 0.0
-        assert [s.qubits for s in states] == [(1, 2)] * 3
-        assert all(type(q) is int for q in states[0].qubits)
-        assert np.array_equal([s.amps for s in states], np.eye(4)[1:])
-        assert states[0].amps.base is states[2].amps.base
-        assert PureState.rows((1,), np.empty((0, 2))) == []
+    def test_state_copies_and_leaves_the_callers_array_writable(self):
+        amps = np.array([0, 1], dtype=complex)
+        state = PureState((1,), amps)
+        amps[1] = 0.0
+        assert np.array_equal(state.amps, [0, 1]) and amps.flags.writeable
 
-    def test_rows_rejects_a_single_vector(self):
+    def test_block_check_hands_the_block_over_read_only(self):
+        block = np.eye(4, dtype=complex)[1:]
+        qubits, rows = _validated([np.int64(1), 2], block, 2)
+        assert qubits == (1, 2) and all(type(q) is int for q in qubits)
+        assert np.shares_memory(rows, block)
+        assert np.array_equal(rows, np.eye(4)[1:])
+        for array in (block, rows):
+            with pytest.raises(ValueError):
+                array[0, 1] = 0.0
+        assert _validated((1,), np.empty((0, 2)), 2)[1].shape == (0, 2)
+
+    def test_block_check_rejects_a_single_vector(self):
         with pytest.raises(StateError, match=r"got shape \(2,\)"):
-            PureState.rows((1,), np.array([1, 0], dtype=complex))
+            _validated((1,), np.array([1, 0], dtype=complex), 2)
 
     def test_batch_norm_check_survives_python_O(self):
         # the checks are raises, not asserts, so python -O keeps them
         code = (
             "import numpy as np\n"
-            "from crossbell.statevec import NormalizationError, PureState\n"
+            "from crossbell.statevec import NormalizationError, _validated\n"
             "block = np.array([[1, 0], [1, 1], [0, 1]], dtype=complex)\n"
             "try:\n"
-            "    PureState.rows((1,), block)\n"
+            "    _validated((1,), block, 2)\n"
             "except NormalizationError:\n"
             "    print('rejected')\n"
         )

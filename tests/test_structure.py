@@ -11,7 +11,10 @@ import crossbell
 # Each module imports only modules to its left, so the graph has no cycle.
 LAYERS = ("statevec", "bell", "measure", "teleport", "oracle", "__init__", "cli")
 # The walker's kernels: the oracle must check them, not run on them.
-WALKER_NAMES = {"_contract", "_join", "walk_branches", "expand_in_cross_bell"}
+WALKER_NAMES = {
+    "_contract", "_join", "walk_branches", "_cross_bell_coefficients",
+    "expand_in_cross_bell",
+}
 
 
 def _parse(name: str) -> ast.Module:

@@ -4,6 +4,9 @@ import ast
 import importlib
 import inspect
 import json
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -67,7 +70,7 @@ def sampled_reports(kinds, client, seeds) -> list:
     """One report per trial: each distinct leaf's report, shared by the trials
     that reach it."""
     walk = teleport_module._walk(kinds, client, seeds)
-    leaves = teleport_module._leaf_reports(kinds, walk, client.amps)
+    leaves = teleport_module.RunReports(kinds, walk, client.amps)
     return [leaves[i] for i in walk.trial_leaf]
 
 
@@ -397,7 +400,7 @@ class TestCorrectStep:
         reference = PureState(ProtocolLayout(n).bob_ids, client.amps)
         for kinds in product(KIND_ORDER, repeat=n):
             walk = teleport_module._walk(kinds, client)
-            reports = list(teleport_module._leaf_reports(kinds, walk, client.amps))
+            reports = list(teleport_module.RunReports(kinds, walk, client.amps))
             codes = [[k.code for k in r.outcome] for r in reports]
             assert codes == walk.outcomes.tolist()
             for report, pre in zip(reports, walk.leaves):
@@ -683,6 +686,128 @@ class TestRunProtocol:
                 for report in run_protocol(kinds, client):
                     assert report.probability == pytest.approx(1 / 16, abs=1e-12)
                     assert report.fidelity_vs_client >= 1 - 1e-9
+
+
+class TestRunReports:
+    def test_indexes_as_a_list_does(self, rng):
+        reports = run_protocol(PHI_CHANNEL, random_client(2, rng))
+        assert isinstance(reports, teleport_module.RunReports)
+        assert reports[7] is reports[7]
+        listed = list(reports)
+        assert len(reports) == len(listed) == 16
+        for index in (0, 5, -1, -16, np.int64(3), np.intp(-2)):
+            assert reports[index] is listed[index]
+        for part in (slice(2, 9, 3), slice(None, None, -1), slice(20, 30), slice(-3, None)):
+            got = reports[part]
+            assert type(got) is list and len(got) == len(listed[part])
+            assert all(a is b for a, b in zip(got, listed[part]))
+        for index in (16, -17, np.int64(16)):
+            with pytest.raises(IndexError):
+                reports[index]
+        with pytest.raises(TypeError):
+            reports[1.0]
+
+    def test_threads_indexing_at_once_see_one_report_per_branch(self, rng):
+        reports = run_protocol(PHI_CHANNEL * 2, random_client(4, rng))
+        orders = [rng.permutation(len(reports)) for _ in range(8)]
+        seen = [dict() for _ in orders]
+        start = threading.Barrier(len(orders))
+
+        def read(order, got):
+            start.wait(timeout=60)
+            for i in order:
+                got[i] = reports[i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=pair) for pair in zip(orders, seen)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for got in seen:
+            assert len(got) == len(reports) == 256
+            assert all(got[i] is reports[i] for i in range(256))
+
+    def test_columns_are_the_walks_arrays_made_read_only(self, rng):
+        kinds, client = PHI_CHANNEL, random_client(2, rng)
+        walk = teleport_module._walk(kinds, client)
+        reports = teleport_module.RunReports(kinds, walk, client.amps)
+        assert np.shares_memory(reports.pre, walk.leaves)
+        assert reports.outcomes is walk.outcomes
+        assert reports.probabilities is walk.probabilities
+        report = reports[3]
+        assert np.shares_memory(report.bob_pre_state.amps, reports.pre)
+        assert np.shares_memory(report.bob_corrected.amps, reports.post)
+        columns = (
+            reports.outcomes, reports.probabilities, reports.pre, reports.post,
+            reports.fidelities, report.bob_pre_state.amps, report.bob_corrected.amps,
+        )
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[(0,) * column.ndim] = 0
+        for state in (report.bob_pre_state, report.bob_corrected):
+            with pytest.raises(ValueError):
+                state.amps.setflags(write=True)
+
+    def test_block_check_rejects_a_bad_walk_row_under_python_O(self):
+        # the checks are raises, not asserts, so python -O keeps them
+        code = (
+            "import numpy as np\n"
+            "from crossbell.bell import BellKind\n"
+            "from crossbell.statevec import NormalizationError, StateError, ket\n"
+            "from crossbell.teleport import RunReports, _walk\n"
+            "kinds, client = (BellKind.PHI_PLUS,), ket({3: 1})\n"
+            "for bad, error in ((np.nan, StateError), (2.0, NormalizationError)):\n"
+            "    walk = _walk(kinds, client)\n"
+            "    leaves = walk.leaves.copy()\n"
+            "    leaves[2, 0] = bad\n"
+            "    try:\n"
+            "        RunReports(kinds, walk._replace(leaves=leaves), client.amps)\n"
+            "    except error as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["StateError", "NormalizationError"]
+
+    def test_warm_seven_pair_run_peaks_within_80_mib(self, rng):
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=7))
+        client = random_client(7, rng)
+        run_protocol(kinds, client)  # warm: builds the channel's tables
+        tracemalloc.start()
+        try:
+            reports = run_protocol(kinds, client)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 4**7
+        assert peak <= 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_session_is_the_sampled_runs_one_report_bit_for_bit(self, rng, n):
+        for seed in rng.integers(2**63, size=5).tolist():
+            kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+            client = random_client(n, rng)
+            direct = run_protocol(kinds, client, mode="sample", seed=seed)
+            assert isinstance(direct, teleport_module.RunReports)
+            (twin,) = direct
+            session = run_session(kinds, client, seed=seed)
+            assert session.outcome == twin.outcome
+            assert session.probability == twin.probability
+            assert session.fidelity_vs_client == twin.fidelity_vs_client
+            for got, expected in (
+                (session.bob_pre_state, twin.bob_pre_state),
+                (session.bob_corrected, twin.bob_corrected),
+            ):
+                assert got.qubits == expected.qubits
+                assert got.amps.tobytes() == expected.amps.tobytes()
 
 
 class TestRunSession:
