@@ -158,7 +158,7 @@ def cross_bell_basis(pairs: Sequence[tuple[int, int]]) -> list[PureState]:
     return [cross_bell_state(kinds, pairs) for kinds in kind_tuples(len(pairs))]
 
 
-def _cross_bell_coefficients(
+def cross_bell_coefficients(
     s: PureState, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Coefficients <T|s> of ``s`` in the cross-Bell basis of ``pairs``, in
@@ -179,8 +179,8 @@ def _cross_bell_coefficients(
 def expand_in_cross_bell(
     s: PureState, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[BellKind, ...], complex]:
-    """The coefficients of :func:`_cross_bell_coefficients`, keyed by kind tuple."""
-    coefficients = _cross_bell_coefficients(s, pairs).tolist()
+    """The coefficients of :func:`cross_bell_coefficients`, keyed by kind tuple."""
+    coefficients = cross_bell_coefficients(s, pairs).tolist()
     return dict(zip(kind_tuples(len(pairs)), coefficients))
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .bell import KIND_ORDER, _cross_bell_coefficients, cross_bell_basis, parse_channel
+from .bell import KIND_ORDER, cross_bell_basis, cross_bell_coefficients, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import (
     CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
@@ -232,7 +232,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError(f"expand takes at most {MAX_PARTIES} pairs")
     with open(args.state) as fp:
         state = load_state(fp)
-    coefficients = _cross_bell_coefficients(state, pairs).tolist()
+    coefficients = cross_bell_coefficients(state, pairs).tolist()
     payload = _envelope("expand", {"state": args.state, "pairs": args.pairs})
     payload["coefficients"] = {}  # streamed by _table_pieces
     tokens = product([kind.token for kind in KIND_ORDER], repeat=len(pairs))

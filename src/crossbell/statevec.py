@@ -63,7 +63,8 @@ def _validated(
 
     ``amps`` is one state's amplitudes (``ndim`` 1) or a (k, 2**n) block with
     one state per row (``ndim`` 2). Returns the ids as ints and a (k, 2**n)
-    view of ``amps`` (copied only if not complex C-order), marked read-only."""
+    view of ``amps``, copied only if not complex C-order. The caller hands
+    ``amps`` over: it, and a view's base, are marked read-only in place."""
     # zero qubits is legal: the scalar left after measuring everything
     try:
         ids = tuple(map(operator.index, qubits))
@@ -140,12 +141,12 @@ class PureState:
         return float(np.linalg.norm(self.amps))
 
 
-def _row_state(qubits: tuple[int, ...], row: np.ndarray) -> PureState:
-    """A state over a row of a block :func:`_validated` passed: no check, no copy."""
-    state = object.__new__(PureState)
-    object.__setattr__(state, "qubits", qubits)
-    object.__setattr__(state, "amps", row)
-    return state
+def _row_states(qubits: tuple[int, ...], rows: Sequence[np.ndarray]) -> list[PureState]:
+    """States over rows of blocks :func:`_validated` passed: no check, no copy."""
+    states = [object.__new__(PureState) for _ in range(len(rows))]
+    for state, row in zip(states, rows):
+        state.__dict__.update(qubits=qubits, amps=row)
+    return states
 
 
 def ket(assignments: Mapping[int, int]) -> PureState:

@@ -30,7 +30,7 @@ from .statevec import (
     PureState,
     QubitSetMismatch,
     StateError,
-    _row_state,
+    _row_states,
     _validated,
     apply_local,
     canonicalize,
@@ -286,9 +286,9 @@ def _correct(
 
 
 class RunReports(Sequence[TeleportReport]):
-    """A run's branches in leaf order as read-only columns, uncopied from the
-    walk and :func:`_correct`, each row block checked once as PureStates are.
-    ``reports[i]`` builds branch i's report once; its states view the rows."""
+    """A run's branches in leaf order over the walk's arrays, taken uncopied and
+    made read-only (a view's base too), each row block checked once as PureStates
+    are. A report is built on first access; iterating builds the rest in one pass."""
 
     def __init__(self, kinds: ChannelSpec, walk: Walk, reference: np.ndarray) -> None:
         corrected, self.fidelities = _correct(kinds, walk, reference)
@@ -306,14 +306,25 @@ class RunReports(Sequence[TeleportReport]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = range(len(self))[index]  # an index error or a type error as a list's
-        report = self._built.get(i)
-        if report is None:  # setdefault keeps the first one built, on any thread
-            report = self._built.setdefault(i, TeleportReport(
+        if i not in self._built:  # setdefault keeps the first one built, on any thread
+            pre, post = _row_states(self.qubits, (self.pre[i], self.post[i]))
+            self._built.setdefault(i, TeleportReport(
                 tuple(_KIND_OF[self.outcomes[i]]), float(self.probabilities[i]),
-                _row_state(self.qubits, self.pre[i]),
-                _row_state(self.qubits, self.post[i]), float(self.fidelities[i]),
+                pre, post, float(self.fidelities[i]),
             ))
-        return report
+        return self._built[i]
+
+    def __iter__(self):
+        built, q = self._built, self.qubits
+        if len(built) < len(self):  # build the missing ones in one pass
+            for i, kinds, p, pre, post, f in zip(
+                range(len(self)), _KIND_OF[self.outcomes].tolist(),
+                self.probabilities.tolist(), _row_states(q, self.pre),
+                _row_states(q, self.post), self.fidelities.tolist(),
+            ):
+                if i not in built:
+                    built.setdefault(i, TeleportReport(tuple(kinds), p, pre, post, f))
+        return map(built.__getitem__, range(len(self)))
 
 
 def run_protocol(

@@ -13,6 +13,7 @@ from crossbell.bell import (
     BellOutcome,
     bell_state,
     cross_bell_basis,
+    cross_bell_coefficients,
     cross_bell_state,
     expand_in_cross_bell,
     format_matrix_token,
@@ -186,6 +187,15 @@ class TestExpand:
         assert issubclass(QubitSetMismatch, StateError)
         with pytest.raises(QubitSetMismatch, match=re.escape(f"pairs {pairs}")):
             expand_in_cross_bell(random_state(ids, rng), pairs)
+
+    def test_array_is_the_dicts_values_in_kind_tuple_order(self, rng):
+        pairs = [(1, 4), (3, 2)]
+        s = random_state((1, 2, 3, 4), rng)
+        coefficients = cross_bell_coefficients(s, pairs)
+        assert coefficients.shape == (16,)
+        expanded = expand_in_cross_bell(s, pairs)
+        assert list(expanded) == list(kind_tuples(2))
+        assert coefficients.tolist() == list(expanded.values())
 
     def test_zero_pairs_expand_the_empty_state(self):
         assert expand_in_cross_bell(PureState((), [1]), []) == {(): 1}

@@ -558,7 +558,6 @@ class TestPinnedValues:
             "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3"
         )
 
-
     @pytest.mark.parametrize("source, n_pairs", sorted(_EXPAND_DIGESTS))
     def test_expand_coefficients(self, capsys, tmp_path, source, n_pairs):
         # qubit q pairs with q + n_pairs, so the pairs interleave
@@ -584,12 +583,14 @@ class TestPinnedValues:
         assert code == 0, err
         assert coefficient_digest(out) == _EXPAND_DIGESTS[source, n_pairs]
 
-    def test_pins_hold_with_one_blas_thread(self):
-        # this run covers the default BLAS pool; a child reruns the class's
-        # other tests with a pool of one
+
+class TestPinsUnderOneBlasThread:
+    def test_every_pin_holds(self):
+        # this run covers the default BLAS pool; a child reruns every pin with
+        # a pool of one
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{Path(__file__).resolve()}::TestPinnedValues", "-k", "not blas"],
+             f"{Path(__file__).resolve()}::TestPinnedValues"],
             cwd=Path(__file__).resolve().parents[1],
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
             capture_output=True, text=True, timeout=300,

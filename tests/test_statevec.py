@@ -27,7 +27,7 @@ from crossbell.statevec import (
     QubitSetMismatch,
     StateError,
     _close,
-    _row_state,
+    _row_states,
     _validated,
     apply_local,
     canonicalize,
@@ -60,7 +60,7 @@ def build_in_block(qubits, amps) -> PureState:
     valid = np.zeros_like(amps)
     valid[..., 0] = 1.0
     qubits, block = _validated(qubits, np.stack([valid, amps, valid]), 2)
-    return _row_state(qubits, block[1])
+    return _row_states(qubits, block)[1]
 
 
 # Each rejection test runs every builder; a loop, not a parametrize, keeps

@@ -707,6 +707,27 @@ class TestRunReports:
         with pytest.raises(TypeError):
             reports[1.0]
 
+    def test_a_slice_or_an_iteration_builds_only_the_missing_reports(
+        self, rng, monkeypatch
+    ):
+        built = []
+        report_class = teleport_module.TeleportReport
+
+        def counting(outcome, *args):
+            built.append(outcome)
+            return report_class(outcome, *args)
+
+        monkeypatch.setattr(teleport_module, "TeleportReport", counting)
+        reports = run_protocol(PHI_CHANNEL, random_client(2, rng))
+        first, last = reports[3], reports[-1]
+        assert len(built) == 2
+        part = reports[2:6]
+        assert len(built) == 5 and part[1] is first
+        listed = list(reports)
+        assert len(built) == len(set(built)) == 16
+        assert listed[3] is first and listed[-1] is last and listed[2:6] == part
+        assert list(reports) == listed and len(built) == 16
+
     def test_threads_indexing_at_once_see_one_report_per_branch(self, rng):
         reports = run_protocol(PHI_CHANNEL * 2, random_client(4, rng))
         orders = [rng.permutation(len(reports)) for _ in range(8)]
