@@ -99,7 +99,7 @@ def _validated(
     return ids, amps.reshape(-1, dim)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PureState:
     """Normalized complex amplitude vector over an ordered tuple of qubit ids.
 
@@ -142,10 +142,13 @@ class PureState:
 
 
 def _row_states(qubits: tuple[int, ...], rows: Sequence[np.ndarray]) -> list[PureState]:
-    """States over rows of blocks :func:`_validated` passed: no check, no copy."""
+    """States over rows of blocks :func:`_validated` passed: no check, no copy.
+    Each slot is set through its class descriptor, past the frozen setattr."""
+    set_qubits, set_amps = PureState.qubits.__set__, PureState.amps.__set__
     states = [object.__new__(PureState) for _ in range(len(rows))]
     for state, row in zip(states, rows):
-        state.__dict__.update(qubits=qubits, amps=row)
+        set_qubits(state, qubits)
+        set_amps(state, row)
     return states
 
 

@@ -19,6 +19,7 @@ one thread: it is not thread-safe and never blocks.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,7 +128,7 @@ class ClassicalMessage:
         return cls(tuple(KIND_ORDER[value >> 2 * m & 3] for m in reversed(range(n))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TeleportReport:
     """One outcome branch of a run, with Bob's states and the success metric."""
 
@@ -175,18 +176,22 @@ def _pauli_frame(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bob's inverses, ``table``'s conjugate transposes, as a Pauli frame: row
     r of inverse (c, k) holds one real nonzero, ``factors[c, k, r]``, at column
     ``r ^ flips[c, k]``. Each is checked with ``is_unitary2``, as ``apply_local``
-    checks a gate, and entry by entry against its frame."""
+    checks a gate, entry by entry against its frame, and for factors of the one
+    magnitude most entries share, which lets ``_correct`` scale by it alone."""
     inverses = table.conj().swapaxes(-1, -2)
     flips = (abs(inverses[..., 0, 1]) > abs(inverses[..., 0, 0])).astype(np.intp)
     columns = np.arange(2) ^ flips[..., None]
     factors = np.take_along_axis(inverses, columns[..., None], -1)[..., 0].real
+    # the middle magnitude is the common one unless half the factors differ
+    magnitude = sorted(abs(factors).ravel().tolist())[factors.size // 2]
     for c, k in np.ndindex(4, 4):
+        entry = f"single-pair correction ({KIND_ORDER[c].token}, {KIND_ORDER[k].token})"
         frame = np.diag(factors[c, k])[:, columns[c, k]]
         if not (is_unitary2(inverses[c, k]) and np.array_equal(inverses[c, k], frame)):
-            raise StateError(
-                f"single-pair correction ({KIND_ORDER[c].token}, "
-                f"{KIND_ORDER[k].token}) is not a signed Pauli"
-            )
+            raise StateError(f"{entry} is not a signed Pauli")
+        scales = abs(factors[c, k]).tolist()
+        if scales != [magnitude] * 2:
+            raise StateError(f"{entry} scales by {scales}, not by {magnitude!r}")
     return flips, factors
 
 
@@ -196,6 +201,8 @@ _PAIR_CORRECTIONS = _single_pair_table()
 # Slot m's inverse flips Bob's bit m by _FLIPS[channel, outcome] and scales
 # the row whose bit m is b by the real _FACTORS[channel, outcome, b].
 _FLIPS, _FACTORS = _pauli_frame(_PAIR_CORRECTIONS)
+# The one magnitude of every factor, as _pauli_frame checks.
+_MAGNITUDE = abs(_FACTORS[0, 0, 0])
 # KIND_ORDER as an array, so indexing it with an array of codes gives kinds.
 _KIND_OF = np.array(KIND_ORDER, dtype=object)
 
@@ -261,6 +268,45 @@ def _walk(
     return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
 
 
+# A sign row covers at most 2**_SIGN_SLOTS lanes; past that many slots a
+# second table signs each block of lanes. With low = min(n, _SIGN_SLOTS) the
+# two sign tables hold 4**(low + 1) + 4**(n - low) bytes, not 4**(n + 1).
+_SIGN_SLOTS = 7
+
+
+def _walsh(k: int) -> np.ndarray:
+    """The int8 (2**k, 2**k) table of (-1)**popcount(z & i) at [z, i]."""
+    table = np.ones((1, 1), np.int8)
+    for _ in range(k):
+        table = np.block([[table, table], [table, -table]])
+    return table
+
+
+@functools.cache
+def _frame_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for ``_correct`` at n slots; low = min(n, _SIGN_SLOTS).
+
+    ``packed[m, c, k]`` packs slot m's frame for channel c and outcome k; its
+    bit of Bob's index is b = n - 1 - m. Bit b is the flip, bit n + b (n + b
+    + 8 if b >= low) the Z bit, set if the factor's sign follows Bob's bit,
+    and bit n + low the factor's sign at bit 0. So a row's sum over its slots
+    holds its X mask in bits 0..n-1, then its low Z mask z and sign parity p,
+    whose ``signs[p << low | z]`` is the +-1 of each of 2**(low + 1) floats,
+    then 8 bits of sign count (at most n), then its high Z mask, whose row of
+    ``high`` signs each block of 2**low lanes."""
+    low = min(n, _SIGN_SLOTS)
+    b = n - 1 - np.arange(n)[:, None, None]
+    negative = (_FACTORS < 0).astype(np.intp)
+    z = negative[..., 0] ^ negative[..., 1]
+    packed = _FLIPS << b | z << n + b + 8 * (b >= low) | negative[..., 0] << n + low
+    walsh = _walsh(low)
+    signs = np.repeat(np.concatenate([walsh, -walsh]), 2, axis=1)
+    high = _walsh(n - low)
+    for table in (packed, signs, high):
+        table.setflags(write=False)
+    return packed, signs, high
+
+
 def _correct(
     kinds: ChannelSpec, walk: Walk, reference: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,18 +315,25 @@ def _correct(
 
     Leaf rows hold Bob's state on ids 1..n, so slot m is bit n - 1 - m of a
     row's index, and column m of ``walk.outcomes`` picks each row's frame for
-    it. One gather applies every slot's flip at once; then slot m's signed
-    factors scale the float view in place, in slot order. Each step is
-    elementwise, so a row's bits do not depend on the rows sharing its call.
+    it. One gather and one row sum of :func:`_frame_tables`' ``packed`` give
+    each row's X mask, Z mask and sign parity. One gather applies the X mask;
+    then the float view is scaled in place by the factors' one magnitude once
+    per slot, as each slot's signed factor rounds, and multiplied by its row of
+    exact signs (past _SIGN_SLOTS slots, by a row of ``high`` too). Each step
+    is elementwise, so a row's bits do not depend on the rows sharing its call.
     """
-    n, codes, channels = len(kinds), walk.outcomes, np.array([k.code for k in kinds])
+    n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
+    packed, signs, high = _frame_tables(n)
+    frames = packed[np.arange(n), [k.code for k in kinds], codes].sum(1)
     lanes = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
-    mask = (_FLIPS[channels, codes] @ (1 << np.arange(n)[::-1])).astype(lanes.dtype)
+    mask = (frames & 2**n - 1).astype(lanes.dtype)
     corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]
-    floats, factors = corrected.view(np.float64), _FACTORS[channels, codes]
-    for m in range(n):
-        slot = floats.reshape(len(codes), 2**m, 2, -1)
-        slot *= factors[:, m, None, :, None]
+    blocks = corrected.view(np.float64).reshape(len(codes), 2 ** (n - low), -1)
+    for _ in range(n):
+        blocks *= _MAGNITUDE
+    blocks *= signs[frames >> n & 2 ** (low + 1) - 1][:, None]
+    if n > low:
+        blocks *= high[frames >> n + low + 8][..., None]
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
     return corrected, fidelities
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import copy
 import io
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import product
 from pathlib import Path
 
@@ -105,6 +108,20 @@ class TestConstruction:
                 s.amps[0] = 0.0
             with pytest.raises(ValueError):
                 s.amps.setflags(write=True)
+
+    def test_states_are_slotted_frozen_and_round_trip(self):
+        amps = np.array([0.6, 0, 0, 0.8j])
+        states = [build((1, 2), amps) for build in BUILDERS]
+        for s in states:
+            assert not hasattr(s, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                s.qubits = (3, 4)
+            # a new name raises TypeError on Python 3.11, as dataclasses has it
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                s.extra = (3, 4)
+            for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s)):
+                assert type(twin) is PureState and twin.qubits == (1, 2)
+                assert twin.amps.tobytes() == s.amps.tobytes()
 
     def test_state_copies_and_leaves_the_callers_array_writable(self):
         amps = np.array([0, 1], dtype=complex)

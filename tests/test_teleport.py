@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import inspect
 import json
+import pickle
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
@@ -436,9 +439,10 @@ class TestCorrectStep:
 
     @pytest.mark.parametrize(
         "n, trials",
-        [(1, None), (2, None), (3, None), (4, None), (3, 1000), (3, 1)],
+        [(1, None), (2, None), (3, None), (4, None), (5, None), (6, None),
+         (7, None), (3, 1000), (3, 1)],
         ids=["enumerate-1", "enumerate-2", "enumerate-3", "enumerate-4",
-             "sample-1000", "sample-1"],
+             "enumerate-5", "enumerate-6", "enumerate-7", "sample-1000", "sample-1"],
     )
     def test_elementwise_correction_equals_the_einsum_bit_for_bit(
         self, rng, n, trials
@@ -498,6 +502,36 @@ class TestCorrectStep:
         assert np.array_equal(corrected, expected)
         assert fidelities.tobytes() == np.array(expected_fidelities).tobytes()
 
+    def test_cached_tables_are_read_only_and_keep_no_state_between_sizes(self):
+        teleport_module._frame_tables.cache_clear()
+        for n in (3, 9):  # 9 slots sign from two tables
+            for table in teleport_module._frame_tables(n):
+                with pytest.raises(ValueError):
+                    table[(0,) * table.ndim] = 0
+        runs, channel = {}, (BellKind.PSI_MINUS, BellKind.PHI_MINUS) * 2
+        for n in (2, 4, 2):
+            kinds = channel[:n]
+            client = random_client(n, np.random.default_rng(n))
+            walk = teleport_module._walk(kinds, client)
+            corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
+            runs.setdefault(n, []).append(corrected.tobytes() + fidelities.tobytes())
+        assert runs[2][0] == runs[2][1]
+
+    def test_warm_seven_pair_correction_peaks_within_38_mib(self, rng):
+        # the corrected block alone is 4**7 * 2**7 * 16 bytes = 32 MiB
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=7))
+        client = random_client(7, rng)
+        walk = teleport_module._walk(kinds, client)
+        teleport_module._correct(kinds, walk, client.amps)  # warm: builds the tables
+        tracemalloc.start()
+        try:
+            corrected, _ = teleport_module._correct(kinds, walk, client.amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corrected.nbytes == 32 * 2**20
+        assert peak <= 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_sampled_run_at_nine_qubits_recovers_the_client(self, rng):
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=9))
         (report,) = run_protocol(kinds, random_client(9, rng), mode="sample", seed=9)
@@ -539,6 +573,31 @@ class TestCorrectStep:
         result = run_optimized(code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "rejected"
+
+    def test_import_check_rejects_a_factor_of_another_magnitude(self):
+        table = teleport_module._PAIR_CORRECTIONS.copy()
+        table[3, 1] *= 1 + 2**-52
+        inverse = table[3, 1].conj().T
+        # still a unitary with one real nonzero per row, so a signed Pauli
+        assert is_unitary2(inverse)
+        assert (np.count_nonzero(inverse, axis=1) == 1).all() and not inverse.imag.any()
+        original = teleport_module._PAIR_CORRECTIONS[3, 1]
+        assert not np.array_equal(abs(inverse), abs(original))
+        with pytest.raises(StateError, match=r"\(phi-, psi-\) scales by"):
+            teleport_module._pauli_frame(table)
+        code = (
+            "import crossbell.teleport as t\n"
+            "from crossbell.statevec import StateError\n"
+            "table = t._PAIR_CORRECTIONS.copy()\n"
+            "table[3, 1] *= 1 + 2**-52\n"
+            "try:\n"
+            "    t._pauli_frame(table)\n"
+            "except StateError as error:\n"
+            "    print(error)\n"
+        )
+        result = run_optimized(code)
+        assert result.returncode == 0, result.stderr
+        assert "(phi-, psi-) scales by" in result.stdout
 
     def test_import_check_rejects_a_unitary_that_is_not_a_signed_pauli(self):
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -689,6 +748,24 @@ class TestRunProtocol:
 
 
 class TestRunReports:
+    def test_reports_and_their_states_are_slotted_frozen_and_round_trip(self, rng):
+        reports = run_protocol(PHI_CHANNEL, random_client(2, rng))
+        report = reports[5]
+        for obj in (report, report.bob_pre_state, report.bob_corrected):
+            assert not hasattr(obj, "__dict__")
+            # a new name raises TypeError on Python 3.11, as dataclasses has it
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                obj.extra = 0
+        for obj, name in ((report, "probability"), (report.bob_corrected, "qubits")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+        for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report)):
+            assert twin.outcome == report.outcome
+            for state in ("bob_pre_state", "bob_corrected"):
+                got, expected = getattr(twin, state), getattr(report, state)
+                assert got.qubits == expected.qubits == (1, 2)
+                assert got.amps.tobytes() == expected.amps.tobytes()
+
     def test_indexes_as_a_list_does(self, rng):
         reports = run_protocol(PHI_CHANNEL, random_client(2, rng))
         assert isinstance(reports, teleport_module.RunReports)
