@@ -24,7 +24,7 @@ from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import (
     CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
 )
-from .teleport import ProtocolLayout, _correct, _walk
+from .teleport import ProtocolLayout, run_protocol
 
 SCHEMA_VERSION = 1
 MAX_PARTIES = 7
@@ -144,17 +144,17 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     seed = _resolve_seed(args.seed)
-    layout = ProtocolLayout(n)
-    client = _resolve_client(args.client, layout.client_ids, seed)
+    client = _resolve_client(args.client, ProtocolLayout(n).client_ids, seed)
 
     seeds = None
     if args.mode == "sample":
         # trial t equals run_protocol(..., mode="sample", seed=<t-th draw>)
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71A1]))
         seeds = trial_rng.integers(2**63, size=args.trials)
-    walk = _walk(kinds, client, seeds)
-    # one record per distinct leaf; Bob's corrected rows are not kept
-    fidelities = _correct(kinds, walk, client.amps)[1]
+    run = run_protocol(kinds, client, args.mode, seeds)
+    outcomes, probs, fidelities = run.outcomes, run.probabilities, run.fidelities
+    order = run.trial_leaf if run.trial_leaf is not None else range(len(outcomes))
+    del run  # free its blocks of Bob's states before one record per leaf is made
     min_fidelity = float(fidelities.min())
     payload = _envelope(
         "teleport",
@@ -170,14 +170,13 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     payload["branches"] = []  # streamed by _table_pieces
     payload["aggregate"] = {
         "min_fidelity": min_fidelity,
-        "max_prob_deviation": float(np.abs(walk.probabilities - 4.0**-n).max()),
+        "max_prob_deviation": float(np.abs(probs - 4.0**-n).max()),
     }
     records = np.array([
         _RECORD % (",\n        ".join(tokens), float.__repr__(p), float.__repr__(f))
-        for tokens, p, f in zip(_QUOTED[walk.outcomes].tolist(),
-                                walk.probabilities.tolist(), fidelities.tolist())
+        for tokens, p, f in zip(_QUOTED[outcomes].tolist(), probs.tolist(),
+                                fidelities.tolist())
     ], dtype=object)
-    order = walk.trial_leaf if walk.trial_leaf is not None else range(len(records))
     _emit(_table_pieces(payload, "branches", records, order), args.out)
     return 0 if min_fidelity >= 1.0 - CHAIN_TOL else 1
 

@@ -149,9 +149,14 @@ _SEED_BLOCK = 8192
 
 
 def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``seeds`` as uint64; a seed outside [0, 2**64) raises, never wraps."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+    """``seeds`` as uint64; a seed outside [0, 2**64) raises, never wraps. An
+    array must be 1-D, not empty, and hold integers."""
+    if isinstance(seeds, np.ndarray):
+        if seeds.dtype.kind not in "iu":
+            raise TypeError(f"seed array must hold integers, got dtype {seeds.dtype}")
+        if seeds.ndim != 1 or not seeds.size:
+            raise ValueError(f"seed array must be 1-D, not empty: shape {seeds.shape}")
+        if seeds.dtype.kind == "i" and seeds.min() < 0:
             raise ValueError(f"seed {seeds.min()} is negative")
         return seeds.astype(np.uint64)
     seeds = [operator.index(s) for s in seeds]

@@ -251,10 +251,11 @@ def _walk(
 ) -> Walk:
     """Every branch of the run (no ``seeds``), or one sampled path per seed.
 
-    The walk starts from the client's 2**n amplitudes, and level m first
-    joins channel pair m's Bell amplitudes onto every node, then measures
-    (n+m, 2n+m). Each level is thus the Born-rule projection of the joined
-    state, built up one pair at a time; no total state is made.
+    The walk starts from the 2**n amplitudes of the client in canonical order,
+    as :func:`_check_client` returns it, and level m first joins channel pair
+    m's Bell amplitudes onto every node, then measures (n+m, 2n+m). Each
+    level is thus the Born-rule projection of the joined state, built up one
+    pair at a time; no total state is made.
 
     Trial t's n draws are row t of :func:`_uniforms`: the first n SplitMix64
     outputs seeded with ``seeds[t]``, which must lie in [0, 2**64). One seed
@@ -262,7 +263,6 @@ def _walk(
     depend on the seeds that share its call.
     """
     layout = ProtocolLayout(len(kinds))
-    client = canonicalize(client)
     joins = [(p, _BELL_AMPS[k]) for p, k in zip(layout.channel_pairs, kinds)]
     draws = None if seeds is None else _uniforms(seeds, layout.n)
     return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
@@ -341,15 +341,19 @@ def _correct(
 class RunReports(Sequence[TeleportReport]):
     """A run's branches in leaf order over the walk's arrays, taken uncopied and
     made read-only (a view's base too), each row block checked once as PureStates
-    are. A report is built on first access; iterating builds the rest in one pass."""
+    are. A report is built on first access; iterating builds the rest in one pass.
+    ``trial_leaf[t]`` is sampled trial t's branch index (None when enumerating)."""
 
     def __init__(self, kinds: ChannelSpec, walk: Walk, reference: np.ndarray) -> None:
         corrected, self.fidelities = _correct(kinds, walk, reference)
         self.qubits, self.pre = _validated(walk.qubits, walk.leaves, 2)
         _, self.post = _validated(walk.qubits, corrected, 2)
         self.outcomes, self.probabilities = walk.outcomes, walk.probabilities
-        for column in (self.outcomes, self.probabilities, self.fidelities):
-            column.setflags(write=False)
+        self.trial_leaf = walk.trial_leaf
+        columns = (self.outcomes, self.probabilities, self.fidelities, self.trial_leaf)
+        for column in columns:
+            if column is not None:
+                column.setflags(write=False)
         self._built: dict[int, TeleportReport] = {}
 
     def __len__(self) -> int:
@@ -384,19 +388,25 @@ def run_protocol(
     kinds: ChannelSpec,
     client: PureState,
     mode: str = "enumerate",
-    seed: int | None = None,
+    seed: int | np.ndarray | None = None,
 ) -> RunReports:
     """Run the full protocol.
 
-    ``enumerate`` returns all 4**n outcome branches (probabilities sum to 1);
-    ``sample`` draws a single branch with the given seed.
+    ``enumerate`` returns all 4**n outcome branches (probabilities sum to 1),
+    and ignores ``seed``. ``sample`` runs one trial per seed: ``seed`` is one
+    int, or a non-empty 1-D integer array of them, each in [0, 2**64). The
+    result holds the distinct branches the trials reach, so its ``len()`` is
+    their count, in outcome-code order; its read-only ``trial_leaf[t]`` is
+    trial t's branch index. Trial t's branch is bit for bit the one branch of
+    ``run_protocol(kinds, client, "sample", seed[t])``.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs a seed")
     client = _check_client(client, ProtocolLayout(len(kinds)))
-    walk = _walk(kinds, client, None if mode == "enumerate" else [seed])
+    seeds = seed if isinstance(seed, np.ndarray) else [seed]
+    walk = _walk(kinds, client, None if mode == "enumerate" else seeds)
     return RunReports(kinds, walk, client.amps)
 
 

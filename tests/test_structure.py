@@ -76,3 +76,15 @@ def test_oracle_names_none_of_the_walkers_kernels():
         elif isinstance(node, ast.Name):
             named.add(node.id)
     assert not named & WALKER_NAMES
+
+
+def test_cli_imports_no_private_name_from_another_module():
+    # the CLI reaches the walk and the correction through run_protocol alone
+    private = [
+        alias.name
+        for node in ast.walk(_parse("cli"))
+        if _imported_modules(node) and isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"cli.py imports {private}"

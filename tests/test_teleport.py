@@ -72,9 +72,8 @@ def random_client(n, rng) -> PureState:
 def sampled_reports(kinds, client, seeds) -> list:
     """One report per trial: each distinct leaf's report, shared by the trials
     that reach it."""
-    walk = teleport_module._walk(kinds, client, seeds)
-    leaves = teleport_module.RunReports(kinds, walk, client.amps)
-    return [leaves[i] for i in walk.trial_leaf]
+    leaves = run_protocol(kinds, client, "sample", np.array(seeds, dtype=np.uint64))
+    return [leaves[i] for i in leaves.trial_leaf]
 
 
 def einsum_correct(kinds, walk, reference):
@@ -689,9 +688,15 @@ class TestRunProtocol:
     ):
         kinds = tuple(rng.choice(KIND_ORDER, size=n))
         client = random_client(n, rng)
-        seeds = [int(seed) for seed in rng.integers(2**63, size=120)]
+        seeds = rng.integers(2**63, size=120)
         enumerated = {r.outcome: r for r in run_protocol(kinds, client)}
-        for seed, batched in zip(seeds, sampled_reports(kinds, client, seeds)):
+        reports = run_protocol(kinds, client, "sample", seeds)
+        # one report per distinct leaf the trials reach
+        assert len(reports) == len(set(reports.trial_leaf.tolist()))
+        with pytest.raises(ValueError):
+            reports.trial_leaf[0] = 0
+        for seed, leaf in zip(seeds.tolist(), reports.trial_leaf, strict=True):
+            batched = reports[leaf]
             (single,) = run_protocol(kinds, client, mode="sample", seed=seed)
             for twin in (single, enumerated[batched.outcome]):
                 assert twin.outcome == batched.outcome
@@ -703,6 +708,32 @@ class TestRunProtocol:
                     twin.bob_corrected.amps, batched.bob_corrected.amps
                 )
                 assert twin.fidelity_vs_client == batched.fidelity_vs_client
+
+    def test_trial_leaf_is_none_when_enumerating(self, rng):
+        reports = run_protocol(PHI_CHANNEL, random_client(2, rng), seed=np.arange(3))
+        assert reports.trial_leaf is None and len(reports) == 16
+
+    # each message names the seed array, and the shape or dtype it got
+    MALFORMED_SEEDS = {
+        "2-d": (np.array([[1, 2], [3, 4]]), ValueError, r"seed array.* 1-D.*\(2, 2\)"),
+        "0-d": (np.array(5), ValueError, r"seed array.* 1-D.*\(\)"),
+        "empty": (np.array([], dtype=int), ValueError, r"seed array.*empty.*\(0,\)"),
+        "float": (np.array([1.0]), TypeError, "seed array.* integers.*float64"),
+        "bool": (np.array([True]), TypeError, "seed array.* integers.*bool"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_SEEDS)
+    def test_malformed_seed_raises_naming_it_before_any_walk(
+        self, rng, monkeypatch, case
+    ):
+        seed, error, message = self.MALFORMED_SEEDS[case]
+
+        def no_walk(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(teleport_module, "walk_branches", no_walk)
+        with pytest.raises(error, match=message):
+            run_protocol(PHI_CHANNEL, random_client(2, rng), "sample", seed)
 
     def test_each_distinct_leaf_report_is_built_once(self, rng, monkeypatch):
         built = []
