@@ -150,7 +150,7 @@ _SEED_BLOCK = 8192
 
 def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """``seeds`` as uint64; a seed outside [0, 2**64) raises, never wraps. An
-    array must be 1-D, not empty, and hold integers."""
+    array must be 1-D, not empty, and hold integers; a bool is not one."""
     if isinstance(seeds, np.ndarray):
         if seeds.dtype.kind not in "iu":
             raise TypeError(f"seed array must hold integers, got dtype {seeds.dtype}")
@@ -159,11 +159,12 @@ def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
         if seeds.dtype.kind == "i" and seeds.min() < 0:
             raise ValueError(f"seed {seeds.min()} is negative")
         return seeds.astype(np.uint64)
-    seeds = [operator.index(s) for s in seeds]
     for s in seeds:
-        if not 0 <= s < 2**64:
+        if isinstance(s, (bool, np.bool_)) or not hasattr(s, "__index__"):
+            raise TypeError(f"seed must be an integer, got {s!r}")
+        if not 0 <= operator.index(s) < 2**64:
             raise ValueError(f"seed {s} is outside [0, 2**64)")
-    return np.array(seeds, dtype=np.uint64)
+    return np.array([operator.index(s) for s in seeds], dtype=np.uint64)
 
 
 def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:

@@ -341,7 +341,7 @@ def _correct(
 class RunReports(Sequence[TeleportReport]):
     """A run's branches in leaf order over the walk's arrays, taken uncopied and
     made read-only (a view's base too), each row block checked once as PureStates
-    are. A report is built on first access; iterating builds the rest in one pass.
+    are. The first access of any kind builds every report, in one pass.
     ``trial_leaf[t]`` is sampled trial t's branch index (None when enumerating)."""
 
     def __init__(self, kinds: ChannelSpec, walk: Walk, reference: np.ndarray) -> None:
@@ -354,34 +354,31 @@ class RunReports(Sequence[TeleportReport]):
         for column in columns:
             if column is not None:
                 column.setflags(write=False)
-        self._built: dict[int, TeleportReport] = {}
 
     def __len__(self) -> int:
         return len(self.pre)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # an index error or a type error as a list's
-        if i not in self._built:  # setdefault keeps the first one built, on any thread
-            pre, post = _row_states(self.qubits, (self.pre[i], self.post[i]))
-            self._built.setdefault(i, TeleportReport(
-                tuple(_KIND_OF[self.outcomes[i]]), float(self.probabilities[i]),
-                pre, post, float(self.fidelities[i]),
-            ))
-        return self._built[i]
+        if not isinstance(index, slice):
+            index = range(len(self))[index]  # a list's errors, before any build
+        return self._reports()[index]
 
     def __iter__(self):
-        built, q = self._built, self.qubits
-        if len(built) < len(self):  # build the missing ones in one pass
-            for i, kinds, p, pre, post, f in zip(
-                range(len(self)), _KIND_OF[self.outcomes].tolist(),
-                self.probabilities.tolist(), _row_states(q, self.pre),
-                _row_states(q, self.post), self.fidelities.tolist(),
-            ):
-                if i not in built:
-                    built.setdefault(i, TeleportReport(tuple(kinds), p, pre, post, f))
-        return map(built.__getitem__, range(len(self)))
+        return iter(self._reports())
+
+    def _reports(self) -> list[TeleportReport]:
+        reports = vars(self).get("_list")
+        if reports is None:  # setdefault keeps the first list built, on any thread
+            q = self.qubits
+            reports = vars(self).setdefault("_list", [
+                TeleportReport(tuple(kinds), p, pre, post, f)
+                for kinds, p, pre, post, f in zip(
+                    _KIND_OF[self.outcomes].tolist(), self.probabilities.tolist(),
+                    _row_states(q, self.pre), _row_states(q, self.post),
+                    self.fidelities.tolist(),
+                )
+            ])
+        return reports
 
 
 def run_protocol(

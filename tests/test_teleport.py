@@ -735,6 +735,24 @@ class TestRunProtocol:
         with pytest.raises(error, match=message):
             run_protocol(PHI_CHANNEL, random_client(2, rng), "sample", seed)
 
+    @pytest.mark.parametrize("entry", ["run_protocol", "run_session"])
+    @pytest.mark.parametrize(
+        "seed", [1.5, [1, 2], "3", True, False, np.bool_(True)], ids=repr
+    )
+    def test_non_integer_scalar_seed_raises_naming_it_before_any_walk(
+        self, rng, monkeypatch, entry, seed
+    ):
+        def no_walk(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(teleport_module, "walk_branches", no_walk)
+        client = random_client(2, rng)
+        with pytest.raises(TypeError, match=r"seed must be an integer, got "):
+            if entry == "run_protocol":
+                run_protocol(PHI_CHANNEL, client, "sample", seed)
+            else:
+                run_session(PHI_CHANNEL, client, seed=seed)
+
     def test_each_distinct_leaf_report_is_built_once(self, rng, monkeypatch):
         built = []
         report_class = teleport_module.TeleportReport
@@ -815,7 +833,7 @@ class TestRunReports:
         with pytest.raises(TypeError):
             reports[1.0]
 
-    def test_a_slice_or_an_iteration_builds_only_the_missing_reports(
+    def test_the_first_access_builds_every_report_and_later_ones_build_none(
         self, rng, monkeypatch
     ):
         built = []
@@ -826,32 +844,42 @@ class TestRunReports:
             return report_class(outcome, *args)
 
         monkeypatch.setattr(teleport_module, "TeleportReport", counting)
-        reports = run_protocol(PHI_CHANNEL, random_client(2, rng))
-        first, last = reports[3], reports[-1]
-        assert len(built) == 2
-        part = reports[2:6]
-        assert len(built) == 5 and part[1] is first
-        listed = list(reports)
+        client = random_client(2, rng)
+        reports = run_protocol(PHI_CHANNEL, client)
+        first = reports[3]
         assert len(built) == len(set(built)) == 16
-        assert listed[3] is first and listed[-1] is last and listed[2:6] == part
+        last, part = reports[-1], reports[2:6]
+        listed = list(reports)
         assert list(reports) == listed and len(built) == 16
+        assert listed[3] is first and listed[-1] is last and listed[2:6] == part
+        built.clear()
+        fresh = run_protocol(PHI_CHANNEL, client)
+        with pytest.raises(IndexError):
+            fresh[16]
+        assert built == []
 
-    def test_threads_indexing_at_once_see_one_report_per_branch(self, rng):
+    @pytest.mark.parametrize("listers", [0, 3])
+    def test_threads_indexing_at_once_see_one_report_per_branch(self, rng, listers):
         reports = run_protocol(PHI_CHANNEL * 2, random_client(4, rng))
         orders = [rng.permutation(len(reports)) for _ in range(8)]
         seen = [dict() for _ in orders]
         start = threading.Barrier(len(orders))
 
-        def read(order, got):
+        def read(lists, order, got):
             start.wait(timeout=60)
-            for i in order:
-                got[i] = reports[i]
+            if lists:
+                got.update(enumerate(list(reports)))
+            else:
+                for i in order:
+                    got[i] = reports[i]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            # the first ``listers`` threads list the run, the rest index it
             threads = [
-                threading.Thread(target=read, args=pair) for pair in zip(orders, seen)
+                threading.Thread(target=read, args=(t < listers, order, got))
+                for t, (order, got) in enumerate(zip(orders, seen))
             ]
             for thread in threads:
                 thread.start()
