@@ -2,11 +2,11 @@
 an audit of the shipped reference tables.
 
 Nothing here trusts the reference data. Corrections are recovered by joining
-the channel with all 2^n client basis states, the columns of one array, and
-projecting them with the oracle's own tensordot (not the walker's kernel),
-then factoring each transfer matrix into signed Pauli slots. The audit diffs
-each reference table entry against that derivation and freezes the verdicts
-(see data/divergence_golden.json).
+the channel once with all 2^n client basis states, the columns of one array,
+projecting each pair onto every kind with the oracle's own tensordot (not the
+walker's kernel), then factoring each transfer matrix into signed Pauli slots.
+The audit diffs each reference table entry against that derivation and
+freezes the verdicts (see data/divergence_golden.json).
 
 One matcher, :func:`_ratio` (the scalar c with a == c * b to within
 CHAIN_TOL), answers both: the fit takes the first slot combination at a unit
@@ -62,19 +62,28 @@ class ArityError(Exception):
 _SLOT_REPS = (SIGMA_0, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
 
-def transfer_matrix(
-    kinds: ChannelSpec, outcome: tuple[BellKind, ...]
-) -> np.ndarray:
-    """Map from client basis coefficients to Bob's unnormalized collapsed
-    coefficients, for a fixed channel and measurement outcome."""
+def _transfers(kinds: ChannelSpec, choices: Sequence[Sequence[BellKind]]) -> np.ndarray:
+    """Transfer matrices of every outcome in ``product(*choices)``, from one join."""
     layout = ProtocolLayout(len(kinds))
     channel = prepare_channel(kinds)
     # column j joins client |j>; the channel ids lie below the client ids
     qubits = channel.qubits + layout.client_ids
     columns = np.kron(channel.amps[:, None], np.eye(2**layout.n))
-    for pair, kind in zip(layout.measure_pairs, outcome):
-        qubits, columns = _project_raw(qubits, columns, pair, kind)
-    return columns
+    for pair, choice in zip(layout.measure_pairs, choices):
+        projected = [_project_raw(qubits, columns, pair, kind) for kind in choice]
+        qubits = projected[0][0]
+        # axes: remaining qubits, client column, then one per measured pair
+        columns = np.stack([part for _, part in projected], axis=-1)
+        del projected  # held, this level's parts would raise the next level's peak
+    return columns.reshape(2**layout.n, 2**layout.n, -1).transpose(2, 0, 1)
+
+
+def transfer_matrix(
+    kinds: ChannelSpec, outcome: tuple[BellKind, ...]
+) -> np.ndarray:
+    """Map from client basis coefficients to Bob's unnormalized collapsed
+    coefficients, for a fixed channel and measurement outcome."""
+    return _transfers(kinds, [(kind,) for kind in outcome])[0]
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> complex | None:
@@ -123,29 +132,26 @@ def derive_correction(
 
 def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarray]]:
     """Joint per-slot tables A_m with A_0[k0] (x) ... (x) A_{n-1}[k_{n-1}]
-    equal to every scaled transfer matrix exactly.
+    equal to every scaled transfer matrix to within CHAIN_TOL.
 
     Gauge: the all-psi+ outcome is factored with slots 1..n-1 canonical and
     slot 0 absorbing its phase; every other entry is then forced.
     """
     n = len(kinds)
-    kinds = tuple(kinds)
-    baseline = (BellKind.PSI_PLUS,) * n
-    base = derive_correction(kinds, baseline)
+    base = derive_correction(kinds, (BellKind.PSI_PLUS,) * n)
+    scaled = (2**n) * _transfers(kinds, [KIND_ORDER] * n)
     tables: list[dict[BellKind, np.ndarray]] = [
         {BellKind.PSI_PLUS: base[m]} for m in range(n)
     ]
     for m in range(n):
         for kind in KIND_ORDER[1:]:
-            outcome = baseline[:m] + (kind,) + baseline[m + 1 :]
-            scaled = (2**n) * transfer_matrix(kinds, outcome)
             variants = (base[:m] + [rep] + base[m + 1 :] for rep in _SLOT_REPS)
-            combo, c = _fit_slots(scaled, variants)
+            # the all-psi+ outcome with slot m's kind changed
+            combo, c = _fit_slots(scaled[kind.code * 4 ** (n - 1 - m)], variants)
             tables[m][kind] = c * combo[m]
-    for outcome in kind_tuples(n):
-        scaled = (2**n) * transfer_matrix(kinds, outcome)
+    for outcome, matrix in zip(kind_tuples(n), scaled):
         joint = reduce(np.kron, (tables[m][k] for m, k in enumerate(outcome)))
-        if not _close(joint, scaled, CHAIN_TOL):
+        if not _close(joint, matrix, CHAIN_TOL):
             raise FactorizationFailure(
                 f"slot tables are jointly inconsistent at outcome "
                 f"{[k.token for k in outcome]}"
@@ -225,13 +231,6 @@ class DivergenceReport:
 
 _SYMBOLS = ("a", "b", "g", "d")
 
-_FLIP = {
-    BellKind.PSI_PLUS: BellKind.PSI_MINUS,
-    BellKind.PSI_MINUS: BellKind.PSI_PLUS,
-    BellKind.PHI_PLUS: BellKind.PHI_MINUS,
-    BellKind.PHI_MINUS: BellKind.PHI_PLUS,
-}
-
 
 def _parse_symbol_vector(text: str) -> np.ndarray:
     """Pattern like '+d,+g,-b,-a' -> 4x4 signed choice matrix (rows pick a
@@ -284,7 +283,7 @@ def _audit_eq6(report: DivergenceReport, scaled: dict) -> None:
     label_flips = 0
     for location, k35, k46, prefactor, vector in _read_data_lines("printed_eq6.txt"):
         label = (BellKind.from_token(k35), BellKind.from_token(k46))
-        flip = (_FLIP[label[0]], _FLIP[label[1]])
+        flip = tuple(KIND_ORDER[k.code ^ 1] for k in label)
         pattern = _parse_symbol_vector(vector)
         printed_map = _parse_prefactor(prefactor) * pattern
         printed_desc = f"{prefactor} * ({vector})"
@@ -470,11 +469,8 @@ def _audit_eq9(report: DivergenceReport, printed: dict) -> None:
 def verify_paper_tables() -> DivergenceReport:
     """Re-derive every shipped reference table and classify each entry."""
     reference_channel = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
-    scaled = {
-        (k, l): 4.0 * transfer_matrix(reference_channel, (k, l))
-        for k in KIND_ORDER
-        for l in KIND_ORDER
-    }
+    matrices = _transfers(reference_channel, [KIND_ORDER] * 2)
+    scaled = dict(zip(kind_tuples(2), 4.0 * matrices))
     tables = derive_correction_table(reference_channel)
     printed = paper_correction_table()
     report = DivergenceReport()

@@ -20,6 +20,7 @@ one thread: it is not thread-safe and never blocks.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,6 +64,9 @@ class ProtocolLayout:
     n: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
+            raise TypeError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"need at least one teleported qubit, got n={self.n}")
 

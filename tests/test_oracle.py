@@ -13,6 +13,7 @@ from crossbell.bell import (
     BellKind,
     _read_data_lines,
     bell_state,
+    kind_tuples,
     paper_correction_table,
 )
 from crossbell.oracle import (
@@ -25,6 +26,7 @@ from crossbell.oracle import (
     _audit_eq9,
     _fit_slots,
     _SLOT_REPS,
+    _transfers,
     coefficient_matrix,
     derive_correction,
     derive_correction_table,
@@ -120,9 +122,10 @@ class TestTransferMatrix:
 
 
 def transfer_matrix_in_blocks(kinds, outcome):
-    """``transfer_matrix`` with the oracle's own kernel (``_project_raw``),
-    8 client columns at a time, so the whole kron(channel, eye(2^n)) is
-    never held."""
+    """``transfer_matrix`` of one outcome projected alone, with the oracle's
+    own kernel (``_project_raw``), 8 client columns at a time, so the whole
+    kron(channel, eye(2^n)) is never held: the per-outcome reference for the
+    oracle's one pass."""
     layout = ProtocolLayout(len(kinds))
     channel = prepare_channel(kinds)
     eye = np.eye(2**layout.n)
@@ -136,16 +139,67 @@ def transfer_matrix_in_blocks(kinds, outcome):
     return np.hstack(blocks)
 
 
+class TestOnePass:
+    """The oracle's one pass: every outcome equals that outcome projected
+    alone, and a derivation or an audit joins its channel only a few times."""
+
+    @staticmethod
+    def check_every_outcome(kinds):
+        n = len(kinds)
+        matrices = _transfers(kinds, [KIND_ORDER] * n)
+        assert matrices.shape == (4**n, 2**n, 2**n)
+        for outcome, got in zip(kind_tuples(n), matrices):
+            expected = transfer_matrix_in_blocks(kinds, outcome)
+            assert np.max(np.abs(got - expected)) <= EXACT_TOL
+
+    @pytest.mark.parametrize("kinds", list(product(KIND_ORDER, repeat=2)))
+    def test_every_two_pair_channel(self, kinds):
+        self.check_every_outcome(kinds)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_two_seeded_channels(self, rng, n):
+        for channel in rng.integers(4, size=(2, n)):
+            self.check_every_outcome(tuple(KIND_ORDER[c] for c in channel))
+
+    def test_derivation_and_audit_join_few_channels(self, monkeypatch):
+        # one join per transfer matrix would be 1 + 3n + 4^n = 74 for this
+        # derivation, and 39 for the audit
+        joined = []
+
+        def counting(kinds):
+            joined.append(tuple(kinds))
+            return prepare_channel(kinds)
+
+        monkeypatch.setattr(oracle, "prepare_channel", counting)
+        derive_correction_table(
+            (BellKind.PSI_MINUS, BellKind.PHI_PLUS, BellKind.PHI_MINUS)
+        )
+        assert 1 <= len(joined) <= 2
+        joined.clear()
+        verify_paper_tables()
+        assert 1 <= len(joined) <= 3
+
+
 class TestTransferMatrixComposition:
-    # n = 7 is left out: in 8-column blocks it took 4.9 s and 654 MB
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_scaled_transfer_is_the_kron_of_single_pair_entries(self, rng, n):
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_outcome_is_the_kron_of_single_pair_entries(self, rng, n):
         # the claim that lets teleport correct pair by pair without the oracle
-        build = transfer_matrix if n <= 5 else transfer_matrix_in_blocks
+        channel = rng.integers(4, size=n)
+        scaled = (2**n) * _transfers(
+            tuple(KIND_ORDER[c] for c in channel), [KIND_ORDER] * n
+        )
+        for outcome, matrix in zip(product(range(4), repeat=n), scaled):
+            composed = reduce(np.kron, _PAIR_CORRECTIONS[channel, list(outcome)])
+            assert np.max(np.abs(matrix - composed)) <= CHAIN_TOL
+
+    # n = 6 holds 256 MiB in one pass, so two outcomes are projected alone;
+    # n = 7 is left out: in 8-column blocks it took 4.9 s and 654 MB
+    @pytest.mark.parametrize("n", [6])
+    def test_scaled_transfer_is_the_kron_of_single_pair_entries(self, rng, n):
         for _ in range(2):
             channel = rng.integers(4, size=n)
             outcome = rng.integers(4, size=n)
-            scaled = (2**n) * build(
+            scaled = (2**n) * transfer_matrix_in_blocks(
                 tuple(KIND_ORDER[c] for c in channel),
                 tuple(KIND_ORDER[k] for k in outcome),
             )
@@ -249,11 +303,16 @@ class TestDeriveCorrectionTable:
         for report in run_protocol(kinds, client):
             assert report.fidelity_vs_client >= 1 - 1e-9
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_single_pair_corrections_compose_to_the_joint_table(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_single_pair_corrections_compose_to_the_joint_table(self, n, rng):
         # the protocol composes one table per pair; the joint brute force
-        # over all 3n qubits must agree slot by slot for every channel
-        for kinds in product(KIND_ORDER, repeat=n):
+        # over all 3n qubits must agree slot by slot for every channel, or
+        # above n = 3 for two seeded ones (every n = 4 channel takes 7 s)
+        channels = product(KIND_ORDER, repeat=n)
+        if n > 3:
+            rows = rng.integers(4, size=(2, n))
+            channels = [tuple(KIND_ORDER[c] for c in row) for row in rows]
+        for kinds in channels:
             tables = derive_correction_table(kinds)
             for kind in KIND_ORDER:
                 composed = corrections_for(kinds, (kind,) * n)

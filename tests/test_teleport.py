@@ -108,6 +108,26 @@ class TestLayout:
         with pytest.raises(ValueError):
             ProtocolLayout(0)
 
+    def test_rejects_a_bool_naming_n(self):
+        # True would otherwise run as n = 1 and equal ProtocolLayout(1)
+        with pytest.raises(TypeError, match=r"^n must be an integer, got True$"):
+            ProtocolLayout(True)
+
+    def test_rejects_a_float_when_built(self):
+        # not later, when a property first calls range()
+        with pytest.raises(TypeError, match=r"^n must be an integer, got 2\.0$"):
+            ProtocolLayout(2.0)
+
+    def test_rejects_a_string_naming_n(self):
+        with pytest.raises(TypeError, match=r"^n must be an integer, got '2'$"):
+            ProtocolLayout("2")
+
+    def test_takes_a_numpy_integer_as_an_int(self):
+        layout = ProtocolLayout(np.int64(2))
+        assert type(layout.n) is int
+        assert layout == ProtocolLayout(2)
+        assert layout.measure_pairs == ((3, 5), (4, 6))
+
 
 class TestClassicalMessage:
     def test_frame_layout(self):
