@@ -1,7 +1,7 @@
 """Projective Bell measurement of a qubit pair inside a larger pure state,
-one pair at a time or a whole outcome tree level by level, with the
-Bell-pair kernel ``bell._contract``. The tree walk names each outcome by its
-2-bit code (``BellKind.code``, also on the wire), in one integer array.
+one pair at a time or a whole outcome tree level by level, with the kernels
+``bell._contract`` and :func:`_channel_level`. The tree walk names each
+outcome by its 2-bit code (``BellKind.code``, also on the wire), in one array.
 
 A sampled path reads one uniform draw per level. A run's draws come from
 :func:`_uniforms`: trial t's are the first n outputs of SplitMix64 seeded
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import _BELL_AMPS, KIND_ORDER, BellKind, BellOutcome, _contract
+from .bell import _BELL_AMPS, _SQRT1_2, KIND_ORDER, BellKind, BellOutcome, _contract
 from .statevec import EXACT_TOL, DuplicateQubit, MissingQubit, PureState, canonicalize
 
 
@@ -236,27 +236,47 @@ def _reached(child: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_children(
-    born: np.ndarray, picked: np.ndarray, pair: tuple[int, int]
+    born: np.ndarray, codes: np.ndarray, pair: tuple[int, int]
 ) -> None:
     """:func:`_check_possible` for each kept child, in child order."""
     if born.min() <= EXACT_TOL:
         i = np.flatnonzero(born <= EXACT_TOL)[0]
-        _check_possible(float(born[i]), KIND_ORDER[int(picked[i]) & 3], pair)
+        _check_possible(float(born[i]), KIND_ORDER[int(codes[i]) & 3], pair)
 
 
-def _join(
-    qubits: tuple[int, ...], level: np.ndarray, pair: tuple[int, int], amps: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Each row of ``level`` joined with the 2-qubit state ``amps`` on
-    ``pair`` (over |00>..|11>, the smaller id first) in one broadcast
-    multiply, its two bits put in their places in ascending id order."""
-    lo, hi = min(pair), max(pair)
-    if lo == hi or lo in qubits or hi in qubits:
-        raise DuplicateQubit(f"cannot join pair {pair} onto qubits {qubits}")
-    joined = tuple(sorted(qubits + (lo, hi)))
-    ax_lo, ax_hi = joined.index(lo), joined.index(hi)
-    psi = level.reshape(len(level), 2**ax_lo, 1, 2 ** (ax_hi - ax_lo - 1), 1, -1)
-    return joined, (psi * amps.reshape(2, 1, 2, 1)).reshape(len(level), -1)
+# _LEVEL_FACTORS[K, k, b]: 2**-1/2 times child k's sign at Bob's bit b under a
+# channel pair of kind K, row b's nonzero in A_K conj(A_k) (A: 2x2 Bell amps)
+_AMPS = np.array([_BELL_AMPS[k] for k in KIND_ORDER]).reshape(4, 2, 2)
+_LEVEL_FACTORS = _SQRT1_2 * np.sign(np.einsum("Kba,kac->Kkb", _AMPS, _AMPS.conj()).real)
+
+
+def _channel_level(
+    qubits: tuple[int, ...], level: np.ndarray, join: tuple, pair: tuple[int, int]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """:func:`_contract` of ``pair`` = (a, c) on ``level`` joined with a Bell
+    pair of ``join``'s kind on (b, a), b < a < c, b at c's axis (else this
+    raises), without the joined rows: child k is the node, c read as b and
+    reversed where the kinds' codes differ in their high bit, times +-2**-1/2
+    twice, the join's and projection's roundings (their bits but for the sign
+    of an exact zero)."""
+    ((b, a), kind), c = join, pair[1]
+    if b == a or b in qubits or a in qubits:
+        raise DuplicateQubit(f"cannot join pair {(b, a)} onto qubits {qubits}")
+    axis = qubits.index(c) if c in qubits and pair[0] == a else -1
+    remaining = qubits[:axis] + (b,) + qubits[axis + 1 :]
+    if axis < 0 or not b < a < c or remaining != tuple(sorted(remaining)):
+        raise ValueError(f"joining {(b, a)} and measuring {pair} must put {b} at {c}")
+    # children 2f, 2f + 1 read halves[:, f]: c's axis reversed unless f is kind's
+    rows_in, f = len(level), kind.code >> 1
+    node = level.view(np.float64).reshape(rows_in, 2**axis, 2, -1)
+    halves = np.empty((rows_in, 2) + node.shape[1:])
+    np.multiply(node, _SQRT1_2, out=halves[:, f])
+    halves[:, 1 - f] = halves[:, f, :, ::-1]
+    # each child's signs spread over whole rows, so one multiply runs along rows
+    factors = np.empty((2, 2) + node.shape[1:])
+    factors[...] = _LEVEL_FACTORS[kind.code].reshape(2, 2, 1, 2, 1)
+    flat = np.multiply(halves[:, :, None], factors).reshape(rows_in, 4, -1)
+    return remaining, flat.view(complex), np.einsum("nki,nki->nk", flat, flat)
 
 
 def walk_branches(
@@ -264,17 +284,17 @@ def walk_branches(
     vec: np.ndarray,
     pairs: Sequence[tuple[int, int]],
     draws: np.ndarray | Sequence[Sequence[float]] | None = None,
-    joins: Sequence[tuple[tuple[int, int], np.ndarray]] | None = None,
+    joins: Sequence[tuple[tuple[int, int], BellKind]] | None = None,
 ) -> Walk:
     """Measure ``pairs`` in turn on a normalized canonical vector, one level
     of the outcome tree at a time.
 
-    A level holds its distinct nodes as the rows of one array and contracts
+    A level holds its distinct nodes as the rows of one array and measures
     its pair for all of them in one :func:`_contract` call. With ``joins``,
-    level d first joins the 2-qubit state ``joins[d]``, a (pair, 4
-    amplitudes) entry, onto every node (:func:`_join`), so a vector that is
-    a product with independent pairs is never built whole: each node holds
-    only the pairs joined so far. Without ``draws`` every node keeps its four
+    level d first joins a Bell pair, a (pair, kind) entry, onto every node:
+    :func:`_channel_level` writes the four children from the node itself, so
+    neither a vector that is a product with independent pairs nor a joined
+    level is ever built. Without ``draws`` every node keeps its four
     children. With them, trial t follows one path: ``draws[t][d]`` picks its
     child at depth d as :func:`sample_kind` picks from ``rng.random()``.
     ``draws`` is a (trials, depth) array in [0, 1), or lists that convert to
@@ -285,11 +305,11 @@ def walk_branches(
     children in ascending child index, so every walk lists its leaves in code
     order, and a sampled walk is bit for bit the enumerate walk's rows at the
     codes its trials reach. A leaf's probability is the product of its
-    per-pair Born probabilities. Each level gathers its kept children's parent
-    rows of ``outcomes`` and fills in its own column.
+    per-pair Born probabilities. Each node carries its path as one base-4
+    code, ``4 * parent + k``, expanded into ``outcomes`` at the end.
     """
     level = vec.reshape(1, -1)
-    outcomes = np.zeros((1, len(pairs)), dtype=np.intp)
+    codes = np.zeros(1, dtype=np.intp)
     probabilities = np.array([1.0])
     trial_node = None
     if draws is not None:
@@ -306,15 +326,17 @@ def walk_branches(
     if joins is not None and len(joins) != len(pairs):
         raise ValueError(f"{len(joins)} joins for {len(pairs)} measured pairs")
     for depth, pair in enumerate(pairs):
-        if joins is not None:
-            qubits, level = _join(qubits, level, *joins[depth])
-        qubits, rows, probs = _contract(qubits, level, pair)
+        if joins is None:
+            qubits, rows, probs = _contract(qubits, level, pair)
+        else:
+            qubits, rows, probs = _channel_level(qubits, level, joins[depth], pair)
         # child 4 * i + k is node i's child for KIND_ORDER[k]; the previous
         # level goes here, so at most two levels are held at once
-        level = rows.reshape(-1, rows.shape[-1])
+        level, born = rows.reshape(-1, rows.shape[-1]), probs.reshape(-1)
         del rows
         if draws is None:
-            picked = np.arange(len(level))
+            codes = np.arange(len(level))
+            probabilities = (probabilities[:, None] * probs).ravel()
         else:
             if len(draws) == 1:  # the one trial is at node 0
                 picked = np.array([_pick(probs[0].tolist(), float(draws[0, depth]))])
@@ -322,12 +344,10 @@ def walk_branches(
                 picked, trial_node = _reached(
                     _pick_rows(probs, trial_node, draws[:, depth]), len(level)
                 )
-            level = level[picked]
-        born = probs.reshape(-1)[picked]
-        _check_children(born, picked, pair)
-        parent, code = np.divmod(picked, 4)
-        outcomes = outcomes.take(parent, axis=0)
-        outcomes[:, depth] = code
-        probabilities = probabilities[parent] * born
+            parent, level, born = picked >> 2, level[picked], born[picked]
+            codes = 4 * codes[parent] + (picked & 3)
+            probabilities = probabilities[parent] * born
+        _check_children(born, codes, pair)
         _normalize(level, born)
-    return Walk(qubits, outcomes, probabilities, level, trial_node)
+    shifts = np.arange(2 * len(pairs) - 2, -1, -2)  # pair d's 2 bits, highest first
+    return Walk(qubits, codes[:, None] >> shifts & 3, probabilities, level, trial_node)

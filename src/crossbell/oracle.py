@@ -113,33 +113,29 @@ def _fit_slots(
     raise FactorizationFailure("no signed Pauli product matches the transfer")
 
 
-def derive_correction(
-    kinds: ChannelSpec, outcome: tuple[BellKind, ...]
-) -> list[np.ndarray]:
-    """Per-slot correction matrices for one outcome, derived from scratch.
-
-    Slots 1..n-1 are canonical signed Paulis (first nonzero entry +1); slot 0
-    carries the residual phase so the exact tensor product reproduces the
-    scaled transfer matrix.
-    """
-    n = len(kinds)
-    scaled = (2**n) * transfer_matrix(kinds, tuple(outcome))
-    if not _close(scaled @ scaled.conj().T, np.eye(2**n), CHAIN_TOL):
+def _factor_slots(scaled: np.ndarray) -> list[np.ndarray]:
+    """Per-slot factors of one scaled transfer matrix: slots 1..n-1 canonical
+    signed Paulis (first nonzero entry +1), slot 0 carrying the residual
+    phase, so the exact tensor product reproduces it."""
+    if not _close(scaled @ scaled.conj().T, np.eye(len(scaled)), CHAIN_TOL):
         raise FactorizationFailure("scaled transfer matrix is not unitary")
+    n = len(scaled).bit_length() - 1
     combo, phase = _fit_slots(scaled, product(_SLOT_REPS, repeat=n))
     return [phase * combo[0]] + [m.copy() for m in combo[1:]]
 
 
-def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarray]]:
-    """Joint per-slot tables A_m with A_0[k0] (x) ... (x) A_{n-1}[k_{n-1}]
-    equal to every scaled transfer matrix to within CHAIN_TOL.
+def derive_correction(
+    kinds: ChannelSpec, outcome: tuple[BellKind, ...]
+) -> list[np.ndarray]:
+    """Per-slot corrections for one outcome, :func:`_factor_slots` of 2^n T."""
+    return _factor_slots((2 ** len(kinds)) * transfer_matrix(kinds, tuple(outcome)))
 
-    Gauge: the all-psi+ outcome is factored with slots 1..n-1 canonical and
-    slot 0 absorbing its phase; every other entry is then forced.
-    """
+
+def _derive_tables(kinds: ChannelSpec) -> tuple[list[dict], np.ndarray]:
+    """:func:`derive_correction_table` and the 4^n scaled matrices it fits."""
     n = len(kinds)
-    base = derive_correction(kinds, (BellKind.PSI_PLUS,) * n)
     scaled = (2**n) * _transfers(kinds, [KIND_ORDER] * n)
+    base = _factor_slots(scaled[0])  # the all-psi+ outcome
     tables: list[dict[BellKind, np.ndarray]] = [
         {BellKind.PSI_PLUS: base[m]} for m in range(n)
     ]
@@ -156,7 +152,17 @@ def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarra
                 f"slot tables are jointly inconsistent at outcome "
                 f"{[k.token for k in outcome]}"
             )
-    return tables
+    return tables, scaled
+
+
+def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarray]]:
+    """Joint per-slot tables A_m with A_0[k0] (x) ... (x) A_{n-1}[k_{n-1}]
+    equal to every scaled transfer matrix to within CHAIN_TOL, from one join.
+
+    Gauge: the all-psi+ outcome is factored with slots 1..n-1 canonical and
+    slot 0 absorbing its phase; every other entry is then forced.
+    """
+    return _derive_tables(kinds)[0]
 
 
 def coefficient_matrix(state: PureState) -> np.ndarray:
@@ -468,10 +474,8 @@ def _audit_eq9(report: DivergenceReport, printed: dict) -> None:
 
 def verify_paper_tables() -> DivergenceReport:
     """Re-derive every shipped reference table and classify each entry."""
-    reference_channel = (BellKind.PHI_PLUS, BellKind.PHI_MINUS)
-    matrices = _transfers(reference_channel, [KIND_ORDER] * 2)
-    scaled = dict(zip(kind_tuples(2), 4.0 * matrices))
-    tables = derive_correction_table(reference_channel)
+    tables, matrices = _derive_tables((BellKind.PHI_PLUS, BellKind.PHI_MINUS))
+    scaled = dict(zip(kind_tuples(2), matrices))
     printed = paper_correction_table()
     report = DivergenceReport()
     _audit_eq6(report, scaled)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import _BELL_AMPS, KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
+from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
 from .measure import Walk, _contract, _uniforms, walk_branches
 from .statevec import (
     PureState,
@@ -256,10 +256,10 @@ def _walk(
     """Every branch of the run (no ``seeds``), or one sampled path per seed.
 
     The walk starts from the 2**n amplitudes of the client in canonical order,
-    as :func:`_check_client` returns it, and level m first joins channel pair
-    m's Bell amplitudes onto every node, then measures (n+m, 2n+m). Each
-    level is thus the Born-rule projection of the joined state, built up one
-    pair at a time; no total state is made.
+    as :func:`_check_client` returns it, and level m joins channel pair m's
+    Bell kind onto every node and measures (n+m, 2n+m). Each level is thus the
+    Born-rule projection of the joined state, one pair at a time; neither the
+    total state nor a joined node is made.
 
     Trial t's n draws are row t of :func:`_uniforms`: the first n SplitMix64
     outputs seeded with ``seeds[t]``, which must lie in [0, 2**64). One seed
@@ -267,7 +267,7 @@ def _walk(
     depend on the seeds that share its call.
     """
     layout = ProtocolLayout(len(kinds))
-    joins = [(p, _BELL_AMPS[k]) for p, k in zip(layout.channel_pairs, kinds)]
+    joins = list(zip(layout.channel_pairs, kinds))
     draws = None if seeds is None else _uniforms(seeds, layout.n)
     return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
 
@@ -319,7 +319,7 @@ def _correct(
 
     Leaf rows hold Bob's state on ids 1..n, so slot m is bit n - 1 - m of a
     row's index, and column m of ``walk.outcomes`` picks each row's frame for
-    it. One gather and one row sum of :func:`_frame_tables`' ``packed`` give
+    it. One ``take`` and one row sum of :func:`_frame_tables`' ``packed`` give
     each row's X mask, Z mask and sign parity. One gather applies the X mask;
     then the float view is scaled in place by the factors' one magnitude once
     per slot, as each slot's signed factor rounds, and multiplied by its row of
@@ -328,7 +328,8 @@ def _correct(
     """
     n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
     packed, signs, high = _frame_tables(n)
-    frames = packed[np.arange(n), [k.code for k in kinds], codes].sum(1)
+    m = np.arange(n)  # every slot
+    frames = packed[m, [k.code for k in kinds]].ravel().take(codes + 4 * m).sum(1)
     lanes = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
     mask = (frames & 2**n - 1).astype(lanes.dtype)
     corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]

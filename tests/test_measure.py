@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossbell.measure as measure_module
-from crossbell.bell import KIND_ORDER, BellKind, bell_state
+from crossbell.bell import _BELL_AMPS, KIND_ORDER, BellKind, _contract, bell_state
 from crossbell.measure import (
     ZeroProbabilityOutcome,
     _pick,
@@ -328,34 +328,56 @@ class TestWalkBranches:
         assert np.array_equal(as_array.leaves, as_lists.leaves)
 
     def test_joined_pairs_walk_as_the_joined_vector(self, rng):
-        # each pair lands between the qubits it is joined onto, not at an end
-        s = random_state((1, 3, 4, 6), rng)
-        factors = [random_state(pair, rng) for pair in ((2, 7), (5, 8))]
-        pairs = ((3, 7), (2, 6))
-        joins = [(f.qubits, f.amps) for f in factors]
-        draws = [draws_of(seed, len(pairs)) for seed in (5, 9, 5)]
-        whole = cross(s, *factors)
-        for rows in (None, draws[:1], draws):
-            walk = walk_branches(s.qubits, s.amps, pairs, rows, joins)
-            expected = walk_branches(whole.qubits, whole.amps, pairs, rows)
-            assert walk.qubits == expected.qubits == (1, 4, 5, 8)
-            assert np.array_equal(walk.outcomes, expected.outcomes)
-            if rows is None:
-                assert walk.trial_leaf is expected.trial_leaf is None
-            else:
-                assert np.array_equal(walk.trial_leaf, expected.trial_leaf)
-            assert np.allclose(
-                walk.probabilities, expected.probabilities, rtol=0, atol=1e-15
-            )
-            assert np.allclose(walk.leaves, expected.leaves, rtol=0, atol=1e-15)
+        # Bell-kind joins on the protocol layout: channel pair m is (m, n+m),
+        # measured pair m is (n+m, 2n+m), and the client holds 2n+1..3n
+        for n in (1, 2, 3):
+            layout = ProtocolLayout(n)
+            client = random_state(layout.client_ids, rng)
+            draws = [draws_of(seed, n) for seed in (5, 9, 5)]
+            for kinds, rows in product(
+                product(KIND_ORDER, repeat=n), (None, draws[:1], draws)
+            ):
+                joins = list(zip(layout.channel_pairs, kinds))
+                whole = cross(prepare_channel(kinds), client)
+                pairs = layout.measure_pairs
+                walk = walk_branches(client.qubits, client.amps, pairs, rows, joins)
+                expected = walk_branches(whole.qubits, whole.amps, pairs, rows)
+                assert walk.qubits == expected.qubits == layout.bob_ids
+                assert np.array_equal(walk.outcomes, expected.outcomes)
+                if rows is None:
+                    assert walk.trial_leaf is expected.trial_leaf is None
+                else:
+                    assert np.array_equal(walk.trial_leaf, expected.trial_leaf)
+                assert np.allclose(
+                    walk.probabilities, expected.probabilities, rtol=0, atol=1e-15
+                )
+                assert np.allclose(walk.leaves, expected.leaves, rtol=0, atol=1e-15)
 
     def test_joins_must_add_new_qubits_one_pair_per_level(self, rng):
         s = random_state((1, 3, 4, 6), rng)
-        pair_amps = random_state((2, 7), rng).amps
         with pytest.raises(DuplicateQubit, match=r"pair \(3, 7\)"):
-            walk_branches(s.qubits, s.amps, [(1, 3)], None, [((3, 7), pair_amps)])
+            walk_branches(
+                s.qubits, s.amps, [(7, 4)], None, [((3, 7), BellKind.PHI_PLUS)]
+            )
         with pytest.raises(ValueError, match="1 joins for 2 measured pairs"):
-            walk_branches(s.qubits, s.amps, PAIRS, None, [((2, 7), pair_amps)])
+            walk_branches(
+                s.qubits, s.amps, PAIRS, None, [((2, 7), BellKind.PSI_PLUS)]
+            )
+
+    @pytest.mark.parametrize(
+        "join, pair",
+        [
+            (((2, 7), BellKind.PSI_MINUS), (7, 9)),  # 2 does not sort to 9's axis
+            (((2, 7), BellKind.PSI_MINUS), (7, 3)),  # the measured 3 is below 7
+            (((8, 7), BellKind.PHI_MINUS), (7, 9)),  # the channel pair reversed
+            (((2, 7), BellKind.PHI_PLUS), (3, 7)),  # the measured pair reversed
+            (((2, 7), BellKind.PHI_PLUS), (7, 8)),  # 8 is not a qubit
+        ],
+    )
+    def test_joins_off_the_protocol_geometry_raise(self, rng, join, pair):
+        s = random_state((1, 3, 4, 6, 9), rng)
+        with pytest.raises(ValueError, match="must put"):
+            walk_branches(s.qubits, s.amps, [pair], None, [join])
 
     @pytest.mark.parametrize(
         "draws",
@@ -469,6 +491,56 @@ class TestWalkBranches:
             leaf = walk.trial_leaf[t]
             assert walk.probabilities[leaf] == one.probabilities[0]
             assert walk.leaves[leaf].tobytes() == one.leaves[0].tobytes()
+
+
+def joined_then_contracted(qubits, level, join, pair):
+    """Reference for ``_channel_level``: the level as the walker once ran it,
+    each row joined with the Bell pair's amplitudes in one broadcast multiply
+    (the pair's two bits put in their places in ascending id order), then
+    all four projections of the joined rows by ``_contract``."""
+    (lo, hi), kind = join
+    joined = tuple(sorted(qubits + (lo, hi)))
+    ax_lo, ax_hi = joined.index(lo), joined.index(hi)
+    psi = level.reshape(len(level), 2**ax_lo, 1, 2 ** (ax_hi - ax_lo - 1), 1, -1)
+    rows = psi * _BELL_AMPS[kind].reshape(2, 1, 2, 1)
+    return _contract(joined, rows.reshape(len(level), -1), pair)
+
+
+class TestChannelLevel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_walk_equals_the_join_then_contract_reference(self, rng, n):
+        # Four channels put every Bell kind at every level. Outcomes, trial
+        # leaves and the bytes of the probabilities are the reference's.
+        # Amplitudes are compared with np.array_equal, which counts -0.0 equal
+        # to 0.0: where the reference adds a node amplitude times a zero Bell
+        # amplitude to an exact zero, the kernel may give that zero the other
+        # sign, so clients that hold exact zeros can differ there, and only
+        # there.
+        layout = ProtocolLayout(n)
+        dense = random_state(layout.client_ids, rng).amps
+        sparse = dense * (rng.random(2**n) < 0.5)
+        sparse[0] = 1.0
+        sparse.imag[rng.random(2**n) < 0.5] = 0.0
+        sparse /= np.linalg.norm(sparse)
+        draw_sets = (None, _uniforms([n], n), _uniforms(np.arange(500), n))
+        for shift, amps, draws in product(range(4), (dense, sparse), draw_sets):
+            kinds = [KIND_ORDER[(shift + d) % 4] for d in range(n)]
+            joins = list(zip(layout.channel_pairs, kinds))
+            args = (layout.client_ids, amps, layout.measure_pairs, draws, joins)
+            walk = walk_branches(*args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measure_module, "_channel_level", joined_then_contracted)
+                expected = walk_branches(*args)
+            assert walk.qubits == expected.qubits == layout.bob_ids
+            assert np.array_equal(walk.outcomes, expected.outcomes)
+            if draws is None:
+                assert walk.trial_leaf is expected.trial_leaf is None
+            else:
+                assert np.array_equal(walk.trial_leaf, expected.trial_leaf)
+            assert walk.probabilities.tobytes() == expected.probabilities.tobytes()
+            assert np.array_equal(walk.leaves, expected.leaves)
+            if amps is dense:
+                assert walk.leaves.tobytes() == expected.leaves.tobytes()
 
 
 _WORD = 2**64 - 1

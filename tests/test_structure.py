@@ -12,7 +12,7 @@ import crossbell
 LAYERS = ("statevec", "bell", "measure", "teleport", "oracle", "__init__", "cli")
 # The walker's kernels: the oracle must check them, not run on them.
 WALKER_NAMES = {
-    "_contract", "_join", "walk_branches", "cross_bell_coefficients",
+    "_contract", "_channel_level", "walk_branches", "cross_bell_coefficients",
     "expand_in_cross_bell",
 }
 

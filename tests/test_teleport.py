@@ -290,7 +290,7 @@ class TestChannelAndTotal:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_sampled_walk_equals_an_independent_projection_chain(self, rng, n):
         # project_onto_bell contracts with its own tensordot, the oracle's
-        # kernel, and shares no code with the walk's _contract or _join
+        # kernel, and shares no code with the walk's _contract or _channel_level
         layout = ProtocolLayout(n)
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
