@@ -1,9 +1,11 @@
-"""Projective Bell measurement of a qubit pair inside a larger pure state,
-one pair at a time or a whole outcome tree level by level, with the kernels
-``bell._contract`` and :func:`_channel_level`. The tree walk names each
-outcome by its 2-bit code (``BellKind.code``, also on the wire), in one array.
+"""Projective Bell measurement of a qubit pair inside a larger pure state
+with the kernel ``bell._contract``, and the teleportation's outcome tree,
+level by level, with :func:`_channel_level`. The tree has the protocol's one
+geometry: level d joins channel pair (d+1, n+d+1) and measures (n+d+1,
+2n+d+1). It names each outcome by its 2-bit code (``BellKind.code``, also on
+the wire), in one array.
 
-A sampled path reads one uniform draw per level. A run's draws come from
+A sampled path reads one uniform draw per level. The walk draws its own from
 :func:`_uniforms`: trial t's are the first n outputs of SplitMix64 seeded
 with its 64-bit seed, for one seed or many in one array pass, so the seed
 fully determines the path. The one-pair calls :func:`sample_kind` and
@@ -195,11 +197,9 @@ def _uniforms(seeds: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
 class Walk(NamedTuple):
     """The distinct leaves a walk reached, in ascending code order. Leaf i's
     path is ``outcomes[i]``: one KIND_ORDER index (``BellKind.code``) per
-    measured pair, in measurement order. A sampled walk follows the caller's
-    draws, one row per trial (a run's rows come from :func:`_uniforms`), and
-    is bit for bit the enumerate walk's rows at the codes its trials reach."""
+    measured pair, in measurement order; its row of ``leaves`` is Bob's state
+    on qubits 1..n. A sampled walk follows one :func:`_uniforms` row per trial."""
 
-    qubits: tuple[int, ...]  # left unmeasured, the same for every leaf
     outcomes: np.ndarray  # (leaves, depth) integers: row i holds leaf i's codes
     probabilities: np.ndarray  # entry i: leaf i's probability
     leaves: np.ndarray  # row i: leaf i's normalized residual
@@ -251,24 +251,19 @@ _LEVEL_FACTORS = _SQRT1_2 * np.sign(np.einsum("Kba,kac->Kkb", _AMPS, _AMPS.conj(
 
 
 def _channel_level(
-    qubits: tuple[int, ...], level: np.ndarray, join: tuple, pair: tuple[int, int]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """:func:`_contract` of ``pair`` = (a, c) on ``level`` joined with a Bell
-    pair of ``join``'s kind on (b, a), b < a < c, b at c's axis (else this
-    raises), without the joined rows: child k is the node, c read as b and
-    reversed where the kinds' codes differ in their high bit, times +-2**-1/2
-    twice, the join's and projection's roundings (their bits but for the sign
-    of an exact zero)."""
-    ((b, a), kind), c = join, pair[1]
-    if b == a or b in qubits or a in qubits:
-        raise DuplicateQubit(f"cannot join pair {(b, a)} onto qubits {qubits}")
-    axis = qubits.index(c) if c in qubits and pair[0] == a else -1
-    remaining = qubits[:axis] + (b,) + qubits[axis + 1 :]
-    if axis < 0 or not b < a < c or remaining != tuple(sorted(remaining)):
-        raise ValueError(f"joining {(b, a)} and measuring {pair} must put {b} at {c}")
-    # children 2f, 2f + 1 read halves[:, f]: c's axis reversed unless f is kind's
+    level: np.ndarray, kind: BellKind, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level ``depth`` = d of the walk: channel pair (d+1, n+d+1) of ``kind``
+    joined onto each row of ``level`` and (n+d+1, 2n+d+1) measured, as the
+    (N, 4, 2**n) residuals and (N, 4) Born probabilities. Each row holds Bob's
+    qubits 1..d, then client qubits 2n+d+1..3n, so the measured client qubit
+    sits at axis d and Bob's qubit d+1 takes its place: child k is the node,
+    that axis reversed where the kinds' codes differ in their high bit, times
+    +-2**-1/2 twice, the join's and projection's roundings (their bits but for
+    the sign of an exact zero). No joined row is built."""
+    # children 2f, 2f + 1 read halves[:, f]: axis d reversed unless f is kind's
     rows_in, f = len(level), kind.code >> 1
-    node = level.view(np.float64).reshape(rows_in, 2**axis, 2, -1)
+    node = level.view(np.float64).reshape(rows_in, 2**depth, 2, -1)
     halves = np.empty((rows_in, 2) + node.shape[1:])
     np.multiply(node, _SQRT1_2, out=halves[:, f])
     halves[:, 1 - f] = halves[:, f, :, ::-1]
@@ -276,60 +271,40 @@ def _channel_level(
     factors = np.empty((2, 2) + node.shape[1:])
     factors[...] = _LEVEL_FACTORS[kind.code].reshape(2, 2, 1, 2, 1)
     flat = np.multiply(halves[:, :, None], factors).reshape(rows_in, 4, -1)
-    return remaining, flat.view(complex), np.einsum("nki,nki->nk", flat, flat)
+    return flat.view(complex), np.einsum("nki,nki->nk", flat, flat)
 
 
 def walk_branches(
-    qubits: tuple[int, ...],
+    kinds: Sequence[BellKind],
     vec: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-    draws: np.ndarray | Sequence[Sequence[float]] | None = None,
-    joins: Sequence[tuple[tuple[int, int], BellKind]] | None = None,
+    seeds: Sequence[int] | np.ndarray | None = None,
 ) -> Walk:
-    """Measure ``pairs`` in turn on a normalized canonical vector, one level
-    of the outcome tree at a time.
+    """Every branch of the teleportation over a channel of ``kinds`` (no
+    ``seeds``), or one sampled path per seed, from the client's 2**n canonical
+    amplitudes ``vec``. Level d is one :func:`_channel_level` call for all of
+    its distinct nodes, the rows of one array, so neither the total state nor
+    a joined node is made.
 
-    A level holds its distinct nodes as the rows of one array and measures
-    its pair for all of them in one :func:`_contract` call. With ``joins``,
-    level d first joins a Bell pair, a (pair, kind) entry, onto every node:
-    :func:`_channel_level` writes the four children from the node itself, so
-    neither a vector that is a product with independent pairs nor a joined
-    level is ever built. Without ``draws`` every node keeps its four
-    children. With them, trial t follows one path: ``draws[t][d]`` picks its
-    child at depth d as :func:`sample_kind` picks from ``rng.random()``.
-    ``draws`` is a (trials, depth) array in [0, 1), or lists that convert to
-    one, with at least one row; each level reads its column. Two or more rows
-    pick as array work (:func:`_pick_rows`); one row picks with :func:`_pick`,
-    bit for bit the same at less cost. Each child some trial reaches is kept
-    once, so trials that share a prefix share its nodes. Every level keeps its
-    children in ascending child index, so every walk lists its leaves in code
-    order, and a sampled walk is bit for bit the enumerate walk's rows at the
-    codes its trials reach. A leaf's probability is the product of its
-    per-pair Born probabilities. Each node carries its path as one base-4
-    code, ``4 * parent + k``, expanded into ``outcomes`` at the end.
+    Trial t's draws are row t of :func:`_uniforms` for ``seeds[t]``, checked
+    before any level; draw d picks its child at depth d as :func:`sample_kind`
+    picks from ``rng.random()``. Two or more trials pick as array work
+    (:func:`_pick_rows`); one trial picks with :func:`_pick`, bit for bit the
+    same at less cost. Each reached child is kept once, so trials that share
+    a prefix share its nodes. Every level keeps its children in ascending
+    child index, so every walk lists its leaves in code order and a sampled
+    walk is bit for bit the enumerate walk's rows at the codes its trials
+    reach. A leaf's probability is the product of its per-pair Born
+    probabilities; each node carries its path as one base-4 code,
+    ``4 * parent + k``, expanded into ``outcomes`` at the end.
     """
+    n = len(kinds)
+    draws = None if seeds is None else _uniforms(seeds, n)
     level = vec.reshape(1, -1)
     codes = np.zeros(1, dtype=np.intp)
     probabilities = np.array([1.0])
-    trial_node = None
-    if draws is not None:
-        draws = np.asarray(draws, dtype=float)
-        if draws.ndim != 2 or len(draws) < 1 or draws.shape[1] != len(pairs):
-            raise ValueError(
-                f"draws must have shape (rows, {len(pairs)}) with rows >= 1, "
-                f"got {draws.shape}"
-            )
-        low, high = draws.min(), draws.max()  # NaN if any draw is NaN
-        if not 0.0 <= low <= high < 1.0:
-            raise ValueError(f"draws must lie in [0, 1), got {low} to {high}")
-        trial_node = np.zeros(len(draws), dtype=np.intp)
-    if joins is not None and len(joins) != len(pairs):
-        raise ValueError(f"{len(joins)} joins for {len(pairs)} measured pairs")
-    for depth, pair in enumerate(pairs):
-        if joins is None:
-            qubits, rows, probs = _contract(qubits, level, pair)
-        else:
-            qubits, rows, probs = _channel_level(qubits, level, joins[depth], pair)
+    trial_node = None if draws is None else np.zeros(len(draws), dtype=np.intp)
+    for depth, kind in enumerate(kinds):
+        rows, probs = _channel_level(level, kind, depth)
         # child 4 * i + k is node i's child for KIND_ORDER[k]; the previous
         # level goes here, so at most two levels are held at once
         level, born = rows.reshape(-1, rows.shape[-1]), probs.reshape(-1)
@@ -347,7 +322,7 @@ def walk_branches(
             parent, level, born = picked >> 2, level[picked], born[picked]
             codes = 4 * codes[parent] + (picked & 3)
             probabilities = probabilities[parent] * born
-        _check_children(born, codes, pair)
+        _check_children(born, codes, (n + depth + 1, 2 * n + depth + 1))
         _normalize(level, born)
-    shifts = np.arange(2 * len(pairs) - 2, -1, -2)  # pair d's 2 bits, highest first
-    return Walk(qubits, codes[:, None] >> shifts & 3, probabilities, level, trial_node)
+    shifts = np.arange(2 * n - 2, -1, -2)  # pair d's 2 bits, highest first
+    return Walk(codes[:, None] >> shifts & 3, probabilities, level, trial_node)

@@ -7,8 +7,9 @@ channel half n+m with client qubit 2n+m.
 
 The channel is a product of independent pairs, and Alice's m-th measurement
 touches only pair m and client qubit m. So a run never builds the
-2**(3n)-amplitude total state: it walks from the client's amplitudes and
-joins channel pair m onto every branch at the level that measures it.
+2**(3n)-amplitude total state: ``walk_branches`` walks from the client's
+amplitudes and joins channel pair m onto every branch at the level that
+measures it. This layout is the walk's one geometry, so it takes no qubit ids.
 
 ``run_protocol`` is a pure function over all (or one sampled) outcome
 branches. ``run_session`` realizes the same exchange as two actors talking
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
-from .measure import Walk, _contract, _uniforms, walk_branches
+from .measure import Walk, _contract, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
@@ -240,36 +241,17 @@ def recover(bob_pre: PureState, corrections: Sequence[np.ndarray]) -> PureState:
     return apply_local(bob_pre, targets)
 
 
-def _check_client(client: PureState, layout: ProtocolLayout) -> PureState:
+def _check_run(kinds: ChannelSpec, client: PureState) -> PureState:
+    """The canonical client, once ``kinds`` and the client's ids check out."""
+    for kind in kinds:
+        if not isinstance(kind, BellKind):
+            raise TypeError(f"channel kind must be a BellKind, got {kind!r}")
+    layout = ProtocolLayout(len(kinds))
     if set(client.qubits) != set(layout.client_ids):
         raise QubitSetMismatch(
             f"client must live on ids {layout.client_ids}, got {client.qubits}"
         )
     return canonicalize(client)
-
-
-def _walk(
-    kinds: ChannelSpec,
-    client: PureState,
-    seeds: Sequence[int] | np.ndarray | None = None,
-) -> Walk:
-    """Every branch of the run (no ``seeds``), or one sampled path per seed.
-
-    The walk starts from the 2**n amplitudes of the client in canonical order,
-    as :func:`_check_client` returns it, and level m joins channel pair m's
-    Bell kind onto every node and measures (n+m, 2n+m). Each level is thus the
-    Born-rule projection of the joined state, one pair at a time; neither the
-    total state nor a joined node is made.
-
-    Trial t's n draws are row t of :func:`_uniforms`: the first n SplitMix64
-    outputs seeded with ``seeds[t]``, which must lie in [0, 2**64). One seed
-    or many, every row comes from the same kernel, so a trial's draws do not
-    depend on the seeds that share its call.
-    """
-    layout = ProtocolLayout(len(kinds))
-    joins = list(zip(layout.channel_pairs, kinds))
-    draws = None if seeds is None else _uniforms(seeds, layout.n)
-    return walk_branches(client.qubits, client.amps, layout.measure_pairs, draws, joins)
 
 
 # A sign row covers at most 2**_SIGN_SLOTS lanes; past that many slots a
@@ -351,8 +333,9 @@ class RunReports(Sequence[TeleportReport]):
 
     def __init__(self, kinds: ChannelSpec, walk: Walk, reference: np.ndarray) -> None:
         corrected, self.fidelities = _correct(kinds, walk, reference)
-        self.qubits, self.pre = _validated(walk.qubits, walk.leaves, 2)
-        _, self.post = _validated(walk.qubits, corrected, 2)
+        bob = ProtocolLayout(len(kinds)).bob_ids
+        self.qubits, self.pre = _validated(bob, walk.leaves, 2)
+        _, self.post = _validated(bob, corrected, 2)
         self.outcomes, self.probabilities = walk.outcomes, walk.probabilities
         self.trial_leaf = walk.trial_leaf
         columns = (self.outcomes, self.probabilities, self.fidelities, self.trial_leaf)
@@ -406,9 +389,9 @@ def run_protocol(
         raise ValueError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs a seed")
-    client = _check_client(client, ProtocolLayout(len(kinds)))
+    client = _check_run(kinds, client)
     seeds = seed if isinstance(seed, np.ndarray) else [seed]
-    walk = _walk(kinds, client, None if mode == "enumerate" else seeds)
+    walk = walk_branches(kinds, client.amps, None if mode == "enumerate" else seeds)
     return RunReports(kinds, walk, client.amps)
 
 
@@ -477,28 +460,28 @@ def run_session(
 ) -> TeleportReport:
     """Sampled teleportation as an Alice/Bob exchange over a byte transport.
 
-    Alice holds the channel halves and the client, measures, sends one framed
-    2n-bit message and closes her end. Bob holds qubits 1..n, decodes the
-    frame, and corrects his collapsed state by the outcomes it carries, with
-    the step ``run_protocol`` uses. Bob acts only once the frame has arrived,
-    so the two halves run in that order on the caller's thread; the residual
-    state Bob corrects (Alice's walk) is simulation-internal. The result is
-    bit-identical to ``run_protocol(..., mode='sample')`` with the same seed.
+    Alice holds the channel halves and the client, walks one sampled path
+    with ``seed``, sends one framed 2n-bit message and closes Alice's end. Bob
+    holds qubits 1..n, decodes the frame, and corrects the collapsed state by
+    the outcomes it carries, with the step ``run_protocol`` uses. Bob acts
+    only once the frame has arrived, so the two halves run in that order on
+    the caller's thread; the residual state Bob corrects (the walk's leaf) is
+    simulation-internal. The result is bit-identical to
+    ``run_protocol(..., mode='sample')`` with the same seed.
     """
-    layout = ProtocolLayout(len(kinds))
-    client = _check_client(client, layout)
+    client = _check_run(kinds, client)
     alice_end, bob_end = transport if transport is not None else make_pipe()
 
     try:
-        walk = _walk(kinds, client, [seed])
+        walk = walk_branches(kinds, client.amps, [seed])
         alice_end.send(ClassicalMessage(tuple(_KIND_OF[walk.outcomes[0]])).encode())
     finally:
         alice_end.close()
 
     message = ClassicalMessage.decode(_recv_frame(bob_end))
-    if len(message.outcomes) != layout.n:
+    if len(message.outcomes) != len(kinds):
         raise ProtocolViolation(
-            f"frame carries {len(message.outcomes)} outcomes, expected {layout.n}"
+            f"frame carries {len(message.outcomes)} outcomes, expected {len(kinds)}"
         )
     # Bob's corrections come from the frame, not from Alice's record
     walk = walk._replace(outcomes=np.array([[k.code for k in message.outcomes]]))

@@ -21,13 +21,11 @@ from crossbell.measure import (
     sample_kind,
     walk_branches,
 )
-from crossbell.statevec import (
-    DuplicateQubit, MissingQubit, PureState, cross, ket, tensor
-)
+from crossbell.statevec import DuplicateQubit, MissingQubit, PureState, ket, tensor
 from crossbell.teleport import (
     ProtocolLayout, prepare_channel, run_protocol, run_session, total_state
 )
-from conftest import random_state, run_optimized
+from conftest import random_state
 
 
 def reference_total(client_amps) -> PureState:
@@ -218,237 +216,127 @@ class TestSampling:
         assert bell_collapse(s, (1, 2), kind).probability == pytest.approx(1.0)
 
 
-PAIRS = ((3, 5), (4, 6))
+class RowDraws:
+    """A stand-in rng whose ``random()`` calls return one row of draws."""
+
+    def __init__(self, row):
+        self.draws = iter(row.tolist())
+
+    def random(self):
+        return next(self.draws)
 
 
-def draws_of(seed, count):
-    return np.random.default_rng(seed).random(count).tolist()
+CHANNEL_LEVEL = measure_module._channel_level
+
+
+def scaled_levels(weights):
+    """A ``_channel_level`` stand-in that multiplies level d's Born
+    probabilities by ``weights[d]``, one factor per kind."""
+
+    def stub(level, kind, depth):
+        rows, probs = CHANNEL_LEVEL(level, kind, depth)
+        return rows, probs * weights[depth]
+
+    return stub
+
+
+def given_draws(seeds, n):
+    """A ``_uniforms`` stand-in: the walk's "seeds" are its rows of draws."""
+    return np.array(seeds, dtype=float).reshape(len(seeds), n)
 
 
 class TestWalkBranches:
-    def test_enumeration_matches_one_projection_per_kind(self, rng):
-        # reference: project_onto_bell contracts one kind at a time
-        s = random_state((1, 2, 3, 4, 5, 6), rng)
-        walk = walk_branches(s.qubits, s.amps, PAIRS)
-        assert walk.trial_leaf is None
-        assert walk.outcomes.dtype.kind == "i"
-        leaves = list(zip(walk.outcomes.tolist(), walk.probabilities, walk.leaves))
-        assert [leaf[0] for leaf in leaves] == [
-            [k1.code, k2.code] for k1 in KIND_ORDER for k2 in KIND_ORDER
-        ]
-        for outcome, probability, vec in leaves:
-            state, expected = s, 1.0
-            for pair, code in zip(PAIRS, outcome):
-                remaining, raw = project_onto_bell(state, pair, KIND_ORDER[code])
-                p = float(np.vdot(raw, raw).real)
-                expected *= p
-                state = PureState(remaining, raw / np.sqrt(p))
-            assert probability == pytest.approx(expected, abs=1e-12)
-            assert walk.qubits == state.qubits == (1, 2)
-            assert np.allclose(vec, state.amps, atol=1e-12)
-        total = sum(leaf[1] for leaf in leaves)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
     def test_sampled_path_draws_like_sample_kind(self, rng):
-        # random(n) gives the numbers n rng.random() calls give
-        s = random_state((1, 2, 3, 4, 5, 6), rng)
+        # sample_kind, on the total state, reads the seed's _uniforms row one
+        # rng.random() call at a time; the 20 seeds cover every 2-pair channel
+        layout = ProtocolLayout(2)
+        client = random_state(layout.client_ids, rng)
         for seed in range(20):
-            walk = walk_branches(s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS))])
+            kinds = (KIND_ORDER[seed % 4], KIND_ORDER[seed // 4 % 4])
+            walk = walk_branches(kinds, client.amps, [seed])
             ((outcome, probability, vec),) = zip(
                 walk.outcomes, walk.probabilities, walk.leaves
             )
             assert walk.trial_leaf.tolist() == [0]
-            sampler = np.random.default_rng(seed)
-            state, expected = s, []
-            for pair in PAIRS:
+            sampler = RowDraws(_uniforms([seed], 2)[0])
+            state, expected, p = total_state(prepare_channel(kinds), client), [], 1.0
+            for pair in layout.measure_pairs:
                 kind = sample_kind(state, pair, sampler)
-                state = bell_collapse(state, pair, kind).residual
+                record = bell_collapse(state, pair, kind)
+                state, p = record.residual, p * record.probability
                 expected.append(kind.code)
             assert outcome.tolist() == expected
-            assert np.allclose(vec, state.amps, atol=1e-12)
+            assert probability == pytest.approx(p, rel=0, abs=1e-12)
+            assert np.allclose(vec, state.amps, rtol=0, atol=1e-12)
 
-    def test_trials_share_nodes_and_keep_code_order(self, rng):
-        s = random_state((1, 2, 3, 4, 5, 6), rng)
-        # trials first reach (2, 3), (0, 0), (2, 1), (0, 1) and (3, 0): out of
-        # code order at both levels
-        seeds = [40, 3, 6, 40, 11, 3, 9]
-        walk = walk_branches(
-            s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS)) for seed in seeds]
-        )
-        alone = [
-            walk_branches(s.qubits, s.amps, PAIRS, [draws_of(seed, len(PAIRS))])
-            for seed in seeds
-        ]
-        reached = [tuple(one.outcomes[0].tolist()) for one in alone]
-        assert list(dict.fromkeys(reached)) != sorted(set(reached))
-        assert list(map(tuple, walk.outcomes.tolist())) == sorted(set(reached))
-        for t, one in enumerate(alone):
-            leaf = walk.trial_leaf[t]
-            assert np.array_equal(walk.outcomes[leaf], one.outcomes[0])
-            assert walk.probabilities[leaf] == one.probabilities[0]
-            assert np.array_equal(walk.leaves[leaf], one.leaves[0])
-
-    def test_zero_probability_branch_rejected(self):
-        s = tensor(bell_state(BellKind.PSI_PLUS, (1, 2)), ket({3: 0}))
-        with pytest.raises(ZeroProbabilityOutcome):
-            walk_branches(s.qubits, s.amps, [(1, 2)])
-
-    def test_zero_probability_child_a_trial_reaches_is_rejected(self):
-        # psi- carries 1e-13 of the weight: a draw just below 1 lands on it
-        c_plus, c_minus = np.sqrt(1 - 1e-13), np.sqrt(1e-13)
-        pair_amps = np.array(
-            [c_plus + c_minus, 0, 0, c_plus - c_minus], dtype=complex
-        ) / np.sqrt(2)
-        s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
-        walk = walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [0.7]])
-        assert walk.outcomes.tolist() == [[BellKind.PSI_PLUS.code]]
-        with pytest.raises(ZeroProbabilityOutcome):
-            walk_branches(s.qubits, s.amps, [(1, 2)], [[0.3], [1 - 5e-14]])
-        # psi- and phi- carry 1e-13 and 2e-13: in a longer walk, later trials
-        # reach phi- and then psi-, and psi-, the lower code, is named
-        c_plus, c_phi = np.sqrt(1 - 3e-13), np.sqrt(2e-13)
-        pair_amps = np.array(
-            [c_plus + c_minus, c_phi, -c_phi, c_plus - c_minus], dtype=complex
-        ) / np.sqrt(2)
-        s = tensor(PureState((1, 2), pair_amps), ket({3: 0}))
-        draws = [[0.3], [0.7], [1 - 1e-13], [0.5], [1 - 2.5e-13]]
-        message = r"outcome psi- on pair \(1, 2\) has probability 1\.000e-13"
-        with pytest.raises(ZeroProbabilityOutcome, match=message):
-            walk_branches(s.qubits, s.amps, [(1, 2)], draws)
-
-    def test_draw_array_walks_as_the_same_draws_in_lists(self, rng):
-        s = random_state((1, 2, 3, 4, 5, 6), rng)
-        draws = _uniforms([3, 11, 3, 40, 11, 3, 2**64 - 1], len(PAIRS))
-        as_array = walk_branches(s.qubits, s.amps, PAIRS, draws)
-        as_lists = walk_branches(s.qubits, s.amps, PAIRS, draws.tolist())
-        assert as_array.qubits == as_lists.qubits
-        assert np.array_equal(as_array.outcomes, as_lists.outcomes)
-        assert np.array_equal(as_array.probabilities, as_lists.probabilities)
-        assert np.array_equal(as_array.trial_leaf, as_lists.trial_leaf)
-        assert np.array_equal(as_array.leaves, as_lists.leaves)
-
-    def test_joined_pairs_walk_as_the_joined_vector(self, rng):
-        # Bell-kind joins on the protocol layout: channel pair m is (m, n+m),
-        # measured pair m is (n+m, 2n+m), and the client holds 2n+1..3n
-        for n in (1, 2, 3):
-            layout = ProtocolLayout(n)
-            client = random_state(layout.client_ids, rng)
-            draws = [draws_of(seed, n) for seed in (5, 9, 5)]
-            for kinds, rows in product(
-                product(KIND_ORDER, repeat=n), (None, draws[:1], draws)
-            ):
-                joins = list(zip(layout.channel_pairs, kinds))
-                whole = cross(prepare_channel(kinds), client)
-                pairs = layout.measure_pairs
-                walk = walk_branches(client.qubits, client.amps, pairs, rows, joins)
-                expected = walk_branches(whole.qubits, whole.amps, pairs, rows)
-                assert walk.qubits == expected.qubits == layout.bob_ids
-                assert np.array_equal(walk.outcomes, expected.outcomes)
-                if rows is None:
-                    assert walk.trial_leaf is expected.trial_leaf is None
-                else:
-                    assert np.array_equal(walk.trial_leaf, expected.trial_leaf)
-                assert np.allclose(
-                    walk.probabilities, expected.probabilities, rtol=0, atol=1e-15
-                )
-                assert np.allclose(walk.leaves, expected.leaves, rtol=0, atol=1e-15)
-
-    def test_joins_must_add_new_qubits_one_pair_per_level(self, rng):
-        s = random_state((1, 3, 4, 6), rng)
-        with pytest.raises(DuplicateQubit, match=r"pair \(3, 7\)"):
-            walk_branches(
-                s.qubits, s.amps, [(7, 4)], None, [((3, 7), BellKind.PHI_PLUS)]
+    def test_zero_probability_child_a_trial_reaches_is_rejected(self, rng):
+        # one pair, (2, 3): psi- carries 1e-13 of the weight and phi+ none
+        kinds = (BellKind.PHI_MINUS,)
+        amps = random_state(ProtocolLayout(1).client_ids, rng).amps
+        message = r"outcome psi- on pair \(2, 3\) has probability 1\.000e-13"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                measure_module, "_channel_level",
+                scaled_levels([4 * np.array([1 - 1e-13, 1e-13, 0, 0])]),
             )
-        with pytest.raises(ValueError, match="1 joins for 2 measured pairs"):
-            walk_branches(
-                s.qubits, s.amps, PAIRS, None, [((2, 7), BellKind.PSI_PLUS)]
+            mp.setattr(measure_module, "_uniforms", given_draws)
+            # enumerating keeps every child, so the first zero raises
+            with pytest.raises(ZeroProbabilityOutcome, match=message):
+                walk_branches(kinds, amps)
+            # a draw just below 1 lands on psi-
+            walk = walk_branches(kinds, amps, [[0.3], [0.7]])
+            assert walk.outcomes.tolist() == [[BellKind.PSI_PLUS.code]]
+            with pytest.raises(ZeroProbabilityOutcome, match=message):
+                walk_branches(kinds, amps, [[0.3], [1 - 5e-14]])
+            # psi- and phi- carry 1e-13 and 2e-13: later trials reach phi-
+            # and then psi-, and psi-, the lower code, is named
+            mp.setattr(
+                measure_module, "_channel_level",
+                scaled_levels([4 * np.array([1 - 3e-13, 1e-13, 0, 2e-13])]),
             )
-
-    @pytest.mark.parametrize(
-        "join, pair",
-        [
-            (((2, 7), BellKind.PSI_MINUS), (7, 9)),  # 2 does not sort to 9's axis
-            (((2, 7), BellKind.PSI_MINUS), (7, 3)),  # the measured 3 is below 7
-            (((8, 7), BellKind.PHI_MINUS), (7, 9)),  # the channel pair reversed
-            (((2, 7), BellKind.PHI_PLUS), (3, 7)),  # the measured pair reversed
-            (((2, 7), BellKind.PHI_PLUS), (7, 8)),  # 8 is not a qubit
-        ],
-    )
-    def test_joins_off_the_protocol_geometry_raise(self, rng, join, pair):
-        s = random_state((1, 3, 4, 6, 9), rng)
-        with pytest.raises(ValueError, match="must put"):
-            walk_branches(s.qubits, s.amps, [pair], None, [join])
-
-    @pytest.mark.parametrize(
-        "draws",
-        [np.full((3, 1), 0.5), np.full((3, 3), 0.5), np.empty((0, 2))],
-        ids=["too-few-columns", "extra-columns", "no-rows"],
-    )
-    def test_draws_of_the_wrong_shape_are_rejected(self, rng, draws):
-        s = random_state((1, 2, 3, 4, 5, 6), rng)
-        with pytest.raises(ValueError, match=r"shape \(rows, 2\)"):
-            walk_branches(s.qubits, s.amps, PAIRS, draws)
-
-    @pytest.mark.parametrize(
-        "draws",
-        [[[np.nan]], [[np.nan], [np.nan]], [[1.5]], [[-0.5]], [[0.5], [1.0]]],
-        ids=["nan-one-row", "nan-rows", "above-one", "negative", "one"],
-    )
-    def test_draws_outside_the_unit_interval_are_rejected(self, rng, draws):
-        # unchecked, a NaN draw picked phi- through _pick, psi+ through _pick_rows
-        s = random_state((1, 2), rng)
-        with pytest.raises(ValueError, match=r"draws must lie in \[0, 1\)"):
-            walk_branches(s.qubits, s.amps, [(1, 2)], draws)
-
-    def test_draw_check_is_a_raise_that_python_O_keeps(self):
-        code = (
-            "import numpy as np\n"
-            "from crossbell.measure import walk_branches\n"
-            "for draws in ([[np.nan]], [[np.nan], [np.nan]], [[0.5], [1.5]]):\n"
-            "    try:\n"
-            "        walk_branches((1, 2), np.full(4, 0.5), [(1, 2)], draws)\n"
-            "    except ValueError as error:\n"
-            "        print(error)\n"
-        )
-        result = run_optimized(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            "draws must lie in [0, 1), got nan to nan",
-            "draws must lie in [0, 1), got nan to nan",
-            "draws must lie in [0, 1), got 0.5 to 1.5",
-        ]
+            draws = [[0.3], [0.7], [1 - 1e-13], [0.5], [1 - 2.5e-13]]
+            with pytest.raises(ZeroProbabilityOutcome, match=message):
+                walk_branches(kinds, amps, draws)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.sampled_from([0, 0, 1e-3, 0.5, 1, 2, 7]),
-                st.sampled_from([1, -1, 1j]),
-            ),
-            min_size=16,
-            max_size=16,
-        ).filter(lambda cs: any(w for w, _ in cs)),
+            st.lists(
+                st.sampled_from([0, 0, 1e-3, 0.5, 1, 2, 7]), min_size=4, max_size=4
+            ).filter(any),
+            min_size=5,
+            max_size=5,
+        ),
         st.sampled_from([(), (0,), (1,), (0, 1)]),
     )
-    def test_array_picks_equal_each_trials_one_row_walk(self, coefficients, short):
-        # Bell coefficients on (1, 2) then (3, 4), with zeros among them
-        vec = sum(
-            np.sqrt(w) * phase * tensor(
-                bell_state(k1, (1, 2)), bell_state(k2, (3, 4))
-            ).amps
-            for (w, phase), (k1, k2) in zip(coefficients, product(KIND_ORDER, repeat=2))
-        )
-        vec = vec / np.linalg.norm(vec)
-        pairs, qubits = ((1, 2), (3, 4)), (1, 2, 3, 4)
-        contract = measure_module._contract
-
-        def stub(qubits, level, pair):
+    def test_array_picks_equal_each_trials_one_row_walk(self, weights, short):
+        # Level 1's probabilities are its Born ones, 1/4 each, times row 0 of
+        # the per-kind weights; level 2's, under level-1 node k, times row
+        # 1 + k. So level-2 nodes differ in their zeros and in their sums,
+        # above and below 1, and a pick must read its own node's row.
+        kinds = (BellKind.PHI_PLUS, BellKind.PSI_MINUS)
+        amps = random_state(ProtocolLayout(2).client_ids, np.random.default_rng(3)).amps
+        weights = 4 * np.array(weights) / np.sum(weights, axis=1, keepdims=True)
+        for depth in short:
             # a short level: every row's sum falls below the top draws, so
             # the fallback to the last possible kind fires
-            remaining, rows, probs = contract(qubits, level, pair)
-            if pairs.index(pair) in short:
-                probs = probs * (1 - 2**-20)
-            return remaining, rows, probs
+            weights[slice(0, 1) if depth == 0 else slice(1, None)] *= 1 - 2**-20
+        rows, probs = CHANNEL_LEVEL(amps.reshape(1, -1), kinds[0], 0)
+        first = (probs[0] * weights[0]).tolist()
+        # the level-2 nodes, normalized as the walk normalizes them (a node
+        # no draw can reach is divided by 1 instead of by 0)
+        nodes = rows[0].copy()
+        measure_module._normalize(nodes, np.array([p if p > 0 else 1.0 for p in first]))
+
+        def stub(level, kind, depth):
+            rows, probs = CHANNEL_LEVEL(level, kind, depth)
+            if depth == 0:
+                return rows, probs * weights[0]
+            parents = [
+                next(k for k, node in enumerate(nodes) if np.array_equal(row, node))
+                for row in level
+            ]
+            return rows, probs * weights[1:][parents]
 
         def edges(row):
             # the accumulated sums _pick compares against, and just below,
@@ -460,14 +348,9 @@ class TestWalkBranches:
             return [u for u in out if u < 1.0]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measure_module, "_contract", stub)
-            remaining, rows, probs = stub(qubits, vec.reshape(1, -1), pairs[0])
-            # the level-2 nodes, normalized as the walk normalizes them (a
-            # node no draw can reach is divided by 1 instead of by 0)
-            nodes = rows[0].copy()
-            measure_module._normalize(nodes, np.where(probs[0] > 0, probs[0], 1.0))
-            below = stub(remaining, nodes, pairs[1])[2].tolist()
-            first = probs[0].tolist()
+            mp.setattr(measure_module, "_channel_level", stub)
+            mp.setattr(measure_module, "_uniforms", given_draws)
+            below = stub(nodes, kinds[1], 1)[1].tolist()
             draws = [
                 (u1, u2)
                 for u1 in edges(first)
@@ -476,11 +359,11 @@ class TestWalkBranches:
             alone, kept = [], []
             for row in draws:
                 try:
-                    alone.append(walk_branches(qubits, vec, pairs, [row]))
+                    alone.append(walk_branches(kinds, amps, [row]))
                 except ZeroProbabilityOutcome:
                     continue  # a pick of a kind at or below EXACT_TOL
                 kept.append(row)
-            walk = walk_branches(qubits, vec, pairs, kept)
+            walk = walk_branches(kinds, amps, kept)
         assert len(kept) >= 2
         reached = [tuple(one.outcomes[0].tolist()) for one in alone]
         paths = list(map(tuple, walk.outcomes.tolist()))
@@ -493,17 +376,23 @@ class TestWalkBranches:
             assert walk.leaves[leaf].tobytes() == one.leaves[0].tobytes()
 
 
-def joined_then_contracted(qubits, level, join, pair):
-    """Reference for ``_channel_level``: the level as the walker once ran it,
-    each row joined with the Bell pair's amplitudes in one broadcast multiply
-    (the pair's two bits put in their places in ascending id order), then
-    all four projections of the joined rows by ``_contract``."""
-    (lo, hi), kind = join
+def joined_then_contracted(level, kind, depth):
+    """Reference for ``_channel_level`` on the protocol layout: each row, on
+    Bob's qubits 1..d and client qubits 2n+d+1..3n, joined with channel pair
+    d+1's Bell amplitudes in one broadcast multiply (the pair's two bits put
+    in their places in ascending id order), then all four projections of the
+    joined rows onto measured pair d+1 by ``_contract``."""
+    layout = ProtocolLayout(level.shape[1].bit_length() - 1)
+    qubits = layout.bob_ids[:depth] + layout.client_ids[depth:]
+    lo, hi = layout.channel_pairs[depth]
     joined = tuple(sorted(qubits + (lo, hi)))
     ax_lo, ax_hi = joined.index(lo), joined.index(hi)
     psi = level.reshape(len(level), 2**ax_lo, 1, 2 ** (ax_hi - ax_lo - 1), 1, -1)
     rows = psi * _BELL_AMPS[kind].reshape(2, 1, 2, 1)
-    return _contract(joined, rows.reshape(len(level), -1), pair)
+    _, rows, probs = _contract(
+        joined, rows.reshape(len(level), -1), layout.measure_pairs[depth]
+    )
+    return rows, probs
 
 
 class TestChannelLevel:
@@ -522,18 +411,15 @@ class TestChannelLevel:
         sparse[0] = 1.0
         sparse.imag[rng.random(2**n) < 0.5] = 0.0
         sparse /= np.linalg.norm(sparse)
-        draw_sets = (None, _uniforms([n], n), _uniforms(np.arange(500), n))
-        for shift, amps, draws in product(range(4), (dense, sparse), draw_sets):
+        seed_sets = (None, [n], np.arange(500))
+        for shift, amps, seeds in product(range(4), (dense, sparse), seed_sets):
             kinds = [KIND_ORDER[(shift + d) % 4] for d in range(n)]
-            joins = list(zip(layout.channel_pairs, kinds))
-            args = (layout.client_ids, amps, layout.measure_pairs, draws, joins)
-            walk = walk_branches(*args)
+            walk = walk_branches(kinds, amps, seeds)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(measure_module, "_channel_level", joined_then_contracted)
-                expected = walk_branches(*args)
-            assert walk.qubits == expected.qubits == layout.bob_ids
+                expected = walk_branches(kinds, amps, seeds)
             assert np.array_equal(walk.outcomes, expected.outcomes)
-            if draws is None:
+            if seeds is None:
                 assert walk.trial_leaf is expected.trial_leaf is None
             else:
                 assert np.array_equal(walk.trial_leaf, expected.trial_leaf)

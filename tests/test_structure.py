@@ -88,3 +88,14 @@ def test_cli_imports_no_private_name_from_another_module():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not private, f"cli.py imports {private}"
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so every check must be a raise
+    asserts = [
+        f"{name}.py:{node.lineno}"
+        for name in LAYERS
+        for node in ast.walk(_parse(name))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"assert statements at {asserts}"

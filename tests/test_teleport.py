@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crossbell.measure as measure_module
 import crossbell.teleport as teleport_module
 from crossbell.bell import KIND_ORDER, BellKind
-from crossbell.measure import _contract, bell_collapse, project_onto_bell
+from crossbell.measure import _contract, bell_collapse, project_onto_bell, walk_branches
 from crossbell.statevec import (
     CHAIN_TOL,
     EXACT_TOL,
@@ -278,25 +280,25 @@ class TestChannelAndTotal:
                     for kind in KIND_ORDER
                     for record in [bell_collapse(state, pair, kind)]
                 }
-            walk = teleport_module._walk(kinds, client)
+            walk = walk_branches(kinds, client.amps)
             assert list(map(tuple, walk.outcomes.tolist())) == list(nodes)
             for (state, p), probability, row in zip(
                 nodes.values(), walk.probabilities, walk.leaves, strict=True
             ):
-                assert state.qubits == walk.qubits
+                assert state.qubits == layout.bob_ids
                 assert probability == pytest.approx(p, rel=0, abs=1e-12)
                 assert np.allclose(row, state.amps, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_sampled_walk_equals_an_independent_projection_chain(self, rng, n):
         # project_onto_bell contracts with its own tensordot, the oracle's
-        # kernel, and shares no code with the walk's _contract or _channel_level
+        # kernel, and shares no code with the walk's _channel_level
         layout = ProtocolLayout(n)
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
         total = total_state(prepare_channel(kinds), client)
         seeds = [int(s) for s in rng.integers(2**63, size=3)]
-        walk = teleport_module._walk(kinds, client, seeds)
+        walk = walk_branches(kinds, client.amps, seeds)
         for outcome, probability, leaf in zip(
             walk.outcomes, walk.probabilities, walk.leaves, strict=True
         ):
@@ -306,7 +308,7 @@ class TestChannelAndTotal:
                 p = float(np.vdot(raw, raw).real)
                 expected *= p
                 state = PureState(remaining, raw / np.sqrt(p))
-            assert state.qubits == walk.qubits == layout.bob_ids
+            assert state.qubits == layout.bob_ids
             assert _close(probability, expected, EXACT_TOL)
             assert _close(leaf, state.amps, EXACT_TOL)
 
@@ -325,12 +327,11 @@ class TestChannelAndTotal:
         rng = np.random.default_rng(state_seed)
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
-        walk = teleport_module._walk(kinds, client, seeds)
-        enumerated = teleport_module._walk(kinds, client)
+        walk = walk_branches(kinds, client.amps, seeds)
+        enumerated = walk_branches(kinds, client.amps)
         # base-4 codes: enumeration row i holds the leaf of code i
         codes = walk.outcomes @ 4 ** np.arange(n - 1, -1, -1)
         assert np.all(np.diff(codes) > 0)
-        assert walk.qubits == enumerated.qubits
         assert np.array_equal(walk.outcomes, enumerated.outcomes[codes])
         assert np.array_equal(walk.probabilities, enumerated.probabilities[codes])
         assert np.array_equal(walk.leaves, enumerated.leaves[codes])
@@ -421,7 +422,7 @@ class TestCorrectStep:
         client = random_client(n, rng)
         reference = PureState(ProtocolLayout(n).bob_ids, client.amps)
         for kinds in product(KIND_ORDER, repeat=n):
-            walk = teleport_module._walk(kinds, client)
+            walk = walk_branches(kinds, client.amps)
             reports = list(teleport_module.RunReports(kinds, walk, client.amps))
             codes = [[k.code for k in r.outcome] for r in reports]
             assert codes == walk.outcomes.tolist()
@@ -447,12 +448,12 @@ class TestCorrectStep:
     def test_reports_hold_the_walk_and_correct_rows_bit_for_bit(self, rng, kinds):
         client = random_client(len(kinds), rng)
         reports = run_protocol(kinds, client)
-        walk = teleport_module._walk(kinds, client)
+        walk = walk_branches(kinds, client.amps)
         corrected, _ = teleport_module._correct(kinds, walk, client.amps)
+        bob_ids = ProtocolLayout(len(kinds)).bob_ids
         assert len(reports) == len(walk.leaves) == len(corrected)
         for report, pre, post in zip(reports, walk.leaves, corrected):
-            assert report.bob_pre_state.qubits == walk.qubits
-            assert report.bob_corrected.qubits == walk.qubits
+            assert report.bob_pre_state.qubits == report.bob_corrected.qubits == bob_ids
             assert np.array_equal(report.bob_pre_state.amps, pre)
             assert np.array_equal(report.bob_corrected.amps, post)
 
@@ -469,7 +470,7 @@ class TestCorrectStep:
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
         seeds = None if trials is None else rng.integers(2**63, size=trials)
-        walk = teleport_module._walk(kinds, client, seeds)
+        walk = walk_branches(kinds, client.amps, seeds)
         corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
         expected, expected_fidelities = einsum_correct(kinds, walk, client.amps)
         assert np.array_equal(corrected, expected)
@@ -497,7 +498,7 @@ class TestCorrectStep:
     def test_any_subset_of_leaves_corrects_to_the_same_bytes(self, rng):
         kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
         client = random_client(3, rng)
-        walk = teleport_module._walk(kinds, client)
+        walk = walk_branches(kinds, client.amps)
         whole, fidelities = teleport_module._correct(kinds, walk, client.amps)
         for size in (1, 5, 37, len(walk.leaves)):
             picked = np.sort(rng.choice(len(walk.leaves), size=size, replace=False))
@@ -515,7 +516,7 @@ class TestCorrectStep:
         # n = 9 rows need a uint16 lane index
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
-        walk = teleport_module._walk(kinds, client, rng.integers(2**63, size=64))
+        walk = walk_branches(kinds, client.amps, rng.integers(2**63, size=64))
         corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
         expected, expected_fidelities = einsum_correct(kinds, walk, client.amps)
         assert np.array_equal(corrected, expected)
@@ -531,7 +532,7 @@ class TestCorrectStep:
         for n in (2, 4, 2):
             kinds = channel[:n]
             client = random_client(n, np.random.default_rng(n))
-            walk = teleport_module._walk(kinds, client)
+            walk = walk_branches(kinds, client.amps)
             corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
             runs.setdefault(n, []).append(corrected.tobytes() + fidelities.tobytes())
         assert runs[2][0] == runs[2][1]
@@ -540,7 +541,7 @@ class TestCorrectStep:
         # the corrected block alone is 4**7 * 2**7 * 16 bytes = 32 MiB
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=7))
         client = random_client(7, rng)
-        walk = teleport_module._walk(kinds, client)
+        walk = walk_branches(kinds, client.amps)
         teleport_module._correct(kinds, walk, client.amps)  # warm: builds the tables
         tracemalloc.start()
         try:
@@ -751,7 +752,7 @@ class TestRunProtocol:
         def no_walk(*args):
             raise AssertionError("a walk started")
 
-        monkeypatch.setattr(teleport_module, "walk_branches", no_walk)
+        monkeypatch.setattr(measure_module, "_channel_level", no_walk)
         with pytest.raises(error, match=message):
             run_protocol(PHI_CHANNEL, random_client(2, rng), "sample", seed)
 
@@ -765,7 +766,7 @@ class TestRunProtocol:
         def no_walk(*args):
             raise AssertionError("a walk started")
 
-        monkeypatch.setattr(teleport_module, "walk_branches", no_walk)
+        monkeypatch.setattr(measure_module, "_channel_level", no_walk)
         client = random_client(2, rng)
         with pytest.raises(TypeError, match=r"seed must be an integer, got "):
             if entry == "run_protocol":
@@ -805,6 +806,23 @@ class TestRunProtocol:
     def test_client_on_wrong_ids(self, rng):
         with pytest.raises(QubitSetMismatch):
             run_protocol(PHI_CHANNEL, random_state((1, 2), rng))
+
+    @pytest.mark.parametrize("entry", ["run_protocol", "run_session"])
+    @pytest.mark.parametrize("kind", ["phi+", 2, None], ids=repr)
+    def test_channel_entry_that_is_not_a_bell_kind_raises_before_any_walk(
+        self, rng, monkeypatch, entry, kind
+    ):
+        def no_walk(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(measure_module, "_channel_level", no_walk)
+        kinds, client = (BellKind.PHI_PLUS, kind), random_client(2, rng)
+        message = "channel kind must be a BellKind, got " + re.escape(repr(kind))
+        with pytest.raises(TypeError, match=message):
+            if entry == "run_protocol":
+                run_protocol(kinds, client)
+            else:
+                run_session(kinds, client)
 
     def test_all_channel_specs_unit_fidelity(self, rng):
         # every 2-pair channel, a few clients each
@@ -914,7 +932,7 @@ class TestRunReports:
 
     def test_columns_are_the_walks_arrays_made_read_only(self, rng):
         kinds, client = PHI_CHANNEL, random_client(2, rng)
-        walk = teleport_module._walk(kinds, client)
+        walk = walk_branches(kinds, client.amps)
         reports = teleport_module.RunReports(kinds, walk, client.amps)
         assert np.shares_memory(reports.pre, walk.leaves)
         assert reports.outcomes is walk.outcomes
@@ -939,10 +957,11 @@ class TestRunReports:
             "import numpy as np\n"
             "from crossbell.bell import BellKind\n"
             "from crossbell.statevec import NormalizationError, StateError, ket\n"
-            "from crossbell.teleport import RunReports, _walk\n"
+            "from crossbell.measure import walk_branches\n"
+            "from crossbell.teleport import RunReports\n"
             "kinds, client = (BellKind.PHI_PLUS,), ket({3: 1})\n"
             "for bad, error in ((np.nan, StateError), (2.0, NormalizationError)):\n"
-            "    walk = _walk(kinds, client)\n"
+            "    walk = walk_branches(kinds, client.amps)\n"
             "    leaves = walk.leaves.copy()\n"
             "    leaves[2, 0] = bad\n"
             "    try:\n"
@@ -1061,7 +1080,7 @@ class TestRunSession:
         # Alice's own frame is dropped and a well-formed one whose every
         # outcome differs from hers arrives instead: Bob's step reads the frame
         client = random_client(2, rng)
-        alice = teleport_module._walk(PHI_CHANNEL, client, [seed])
+        alice = walk_branches(PHI_CHANNEL, client.amps, [seed])
         injected = tuple(KIND_ORDER[(c + 1) % 4] for c in alice.outcomes[0].tolist())
         injector, bob_end = make_pipe()
         injector.send(ClassicalMessage(injected).encode())
@@ -1069,7 +1088,7 @@ class TestRunSession:
             PHI_CHANNEL, client, transport=(DiscardingEnd(), bob_end), seed=seed
         )
         assert report.outcome == injected
-        assert report.bob_pre_state.qubits == alice.qubits
+        assert report.bob_pre_state.qubits == (1, 2)
         assert np.array_equal(report.bob_pre_state.amps, alice.leaves[0])
         expected = recover(report.bob_pre_state, corrections_for(PHI_CHANNEL, injected))
         assert report.bob_corrected.qubits == expected.qubits
@@ -1122,7 +1141,7 @@ class TestRunSession:
         def failing_walk(*args, **kwargs):
             raise RuntimeError("alice failed")
 
-        monkeypatch.setattr(teleport_module, "_walk", failing_walk)
+        monkeypatch.setattr(teleport_module, "walk_branches", failing_walk)
         alice_end, bob_end = make_pipe()
         with pytest.raises(RuntimeError, match="alice failed"):
             run_session(
