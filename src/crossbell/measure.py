@@ -281,9 +281,9 @@ def walk_branches(
 ) -> Walk:
     """Every branch of the teleportation over a channel of ``kinds`` (no
     ``seeds``), or one sampled path per seed, from the client's 2**n canonical
-    amplitudes ``vec``. Level d is one :func:`_channel_level` call for all of
-    its distinct nodes, the rows of one array, so neither the total state nor
-    a joined node is made.
+    amplitudes ``vec``, a 1-D array (any other shape raises). Level d is one
+    :func:`_channel_level` call for all of its distinct nodes, the rows of one
+    array, so neither the total state nor a joined node is made.
 
     Trial t's draws are row t of :func:`_uniforms` for ``seeds[t]``, checked
     before any level; draw d picks its child at depth d as :func:`sample_kind`
@@ -298,6 +298,8 @@ def walk_branches(
     ``4 * parent + k``, expanded into ``outcomes`` at the end.
     """
     n = len(kinds)
+    if vec.shape != (2**n,):
+        raise ValueError(f"need {2**n} client amplitudes, got shape {vec.shape}")
     draws = None if seeds is None else _uniforms(seeds, n)
     level = vec.reshape(1, -1)
     codes = np.zeros(1, dtype=np.intp)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import numpy as np
@@ -245,7 +246,103 @@ def given_draws(seeds, n):
     return np.array(seeds, dtype=float).reshape(len(seeds), n)
 
 
+def no_level(*args):
+    raise AssertionError("a level was walked")
+
+
 class TestWalkBranches:
+    def test_enumeration_matches_one_projection_per_kind(self, rng):
+        # reference: project_onto_bell contracts one kind at a time from the
+        # total state
+        layout = ProtocolLayout(2)
+        kinds = (BellKind.PHI_PLUS, BellKind.PSI_MINUS)
+        client = random_state(layout.client_ids, rng)
+        walk = walk_branches(kinds, client.amps)
+        assert walk.trial_leaf is None
+        assert walk.outcomes.dtype.kind == "i"
+        leaves = list(zip(walk.outcomes.tolist(), walk.probabilities, walk.leaves))
+        assert [leaf[0] for leaf in leaves] == [
+            [k1.code, k2.code] for k1 in KIND_ORDER for k2 in KIND_ORDER
+        ]
+        total = total_state(prepare_channel(kinds), client)
+        for outcome, probability, vec in leaves:
+            state, expected = total, 1.0
+            for pair, code in zip(layout.measure_pairs, outcome):
+                remaining, raw = project_onto_bell(state, pair, KIND_ORDER[code])
+                p = float(np.vdot(raw, raw).real)
+                expected *= p
+                state = PureState(remaining, raw / np.sqrt(p))
+            assert probability == pytest.approx(expected, abs=1e-12)
+            assert state.qubits == layout.bob_ids
+            assert np.allclose(vec, state.amps, atol=1e-12)
+        assert sum(leaf[1] for leaf in leaves) == pytest.approx(1.0, abs=1e-12)
+
+    def test_trials_share_nodes_and_keep_code_order(self, rng):
+        # every Born probability is 1/4, so draw u picks kind floor(4u): these
+        # seeds first reach (2, 3), (0, 2), (2, 1), (0, 0) and (2, 0), out of
+        # code order at both levels
+        kinds = (BellKind.PSI_MINUS, BellKind.PHI_PLUS)
+        amps = random_state(ProtocolLayout(2).client_ids, rng).amps
+        seeds = [9, 3, 6, 9, 20, 3, 19]
+        walk = walk_branches(kinds, amps, seeds)
+        alone = [walk_branches(kinds, amps, [seed]) for seed in seeds]
+        reached = [tuple(one.outcomes[0].tolist()) for one in alone]
+        assert list(dict.fromkeys(reached)) != sorted(set(reached))
+        assert list(map(tuple, walk.outcomes.tolist())) == sorted(set(reached))
+        for t, one in enumerate(alone):
+            leaf = walk.trial_leaf[t]
+            assert np.array_equal(walk.outcomes[leaf], one.outcomes[0])
+            assert walk.probabilities[leaf] == one.probabilities[0]
+            assert np.array_equal(walk.leaves[leaf], one.leaves[0])
+
+    def test_seed_lists_and_integer_arrays_walk_alike(self, rng):
+        kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
+        amps = random_state(ProtocolLayout(3).client_ids, rng).amps
+        seeds = [3, 11, 3, 40, 11, 3, 2**63 - 1]
+        as_list = walk_branches(kinds, amps, seeds)
+        for dtype in (np.int64, np.uint64):
+            as_array = walk_branches(kinds, amps, np.array(seeds, dtype=dtype))
+            assert np.array_equal(as_array.outcomes, as_list.outcomes)
+            assert np.array_equal(as_array.trial_leaf, as_list.trial_leaf)
+            assert as_array.probabilities.tobytes() == as_list.probabilities.tobytes()
+            assert as_array.leaves.tobytes() == as_list.leaves.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, shape",
+        [(1, (4,)), (2, (2,)), (2, (2, 2)), (1, (1, 2))],
+        ids=["too-many", "too-few", "2-d", "one-row"],
+    )
+    def test_amplitudes_other_than_2_to_the_n_in_1d_raise_before_any_level(
+        self, monkeypatch, n, shape
+    ):
+        # unchecked, one pair walked 4 amplitudes into four leaves of 4
+        kinds = (BellKind.PHI_PLUS,) * n
+        vec = np.full(shape, np.prod(shape) ** -0.5, dtype=complex)
+        monkeypatch.setattr(measure_module, "_channel_level", no_level)
+        message = rf"need {2**n} client amplitudes, got shape {re.escape(str(shape))}"
+        for seeds in (None, [5]):
+            with pytest.raises(ValueError, match=message):
+                walk_branches(kinds, vec, seeds)
+
+    @pytest.mark.parametrize(
+        "seeds, error",
+        [
+            ([-1], ValueError),
+            ([2**64], ValueError),
+            ([1.5], TypeError),
+            ([True], TypeError),
+            (np.array([1.0]), TypeError),
+            (np.array([[1]]), ValueError),
+            (np.array([], dtype=int), ValueError),
+        ],
+        ids=["negative", "2**64", "float", "bool", "float-array", "2-d", "empty"],
+    )
+    def test_bad_seeds_raise_before_any_level(self, rng, monkeypatch, seeds, error):
+        amps = random_state(ProtocolLayout(2).client_ids, rng).amps
+        monkeypatch.setattr(measure_module, "_channel_level", no_level)
+        with pytest.raises(error, match="seed"):
+            walk_branches((BellKind.PHI_PLUS, BellKind.PSI_PLUS), amps, seeds)
+
     def test_sampled_path_draws_like_sample_kind(self, rng):
         # sample_kind, on the total state, reads the seed's _uniforms row one
         # rng.random() call at a time; the 20 seeds cover every 2-pair channel
