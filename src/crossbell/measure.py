@@ -84,8 +84,7 @@ def project_onto_bell(
     """Unnormalized projection (<kind_pair| (x) I)|s>.
 
     Returns the remaining qubits (ascending) and the raw residual vector;
-    its squared norm is the outcome probability. Its single-kind contraction
-    is the one the oracle's transfer matrices use.
+    its squared norm is the outcome probability.
     """
     s = _check_pair(s, pair)
     return _project_raw(s.qubits, s.amps, pair, kind)

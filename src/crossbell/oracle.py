@@ -1,16 +1,15 @@
 """Brute-force ground truth: transfer matrices, correction derivation, and
 an audit of the shipped reference tables.
 
-Nothing here trusts the reference data. Corrections are recovered by joining
-the channel once with all 2^n client basis states, the columns of one array,
-projecting each pair onto every kind with the oracle's own tensordot (not the
-walker's kernel), then factoring each transfer matrix into signed Pauli slots.
-The audit diffs each reference table entry against that derivation and
-freezes the verdicts (see data/divergence_golden.json).
-
-One matcher, :func:`_ratio` (the scalar c with a == c * b to within
-CHAIN_TOL), answers both: the fit takes the first slot combination at a unit
-ratio, and each audit picks its verdict from the ratios of its candidates.
+Nothing here trusts the reference data or runs on the walker's kernels. The
+channel, built from the oracle's own Bell patterns times sqrt(2), is joined
+once with all 2^n client basis states, and each measured pair is projected
+onto every pattern with the oracle's own tensordot over all 3n qubits. So
+each scaled transfer matrix 2^n T is an exact float64 matrix of -1, 0 and 1,
+and factors exactly into signed Pauli slots. The audit diffs the reference
+tables against that derivation and freezes the verdicts (see
+data/divergence_golden.json); only it, comparing printed data, matches to
+within CHAIN_TOL, with :func:`_ratio`.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,12 +27,10 @@ from .bell import (
     BellKind,
     ChannelSpec,
     _read_data_lines,
-    cross_bell_basis,
     format_matrix_token,
     kind_tuples,
     paper_correction_table,
 )
-from .measure import _project_raw
 from .statevec import (
     CHAIN_TOL,
     EXACT_TOL,
@@ -46,7 +43,6 @@ from .statevec import (
     canonicalize,
     ket,
 )
-from .teleport import ProtocolLayout, prepare_channel
 
 
 class FactorizationFailure(Exception):
@@ -61,33 +57,41 @@ class ArityError(Exception):
 # (row-major) is +1.
 _SLOT_REPS = (SIGMA_0, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
+# The Bell patterns times sqrt(2), rows in KIND_ORDER, over |00>, |01>, |10>,
+# |11> of a pair (lower id first): psi+- = |00> +- |11>, phi+- = |01> +- |10>.
+_PATTERNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
+
 
 def _transfers(kinds: ChannelSpec, choices: Sequence[Sequence[BellKind]]) -> np.ndarray:
     """Transfer matrices of every outcome in ``product(*choices)``, from one join."""
-    layout = ProtocolLayout(len(kinds))
-    channel = prepare_channel(kinds)
-    # column j joins client |j>; the channel ids lie below the client ids
-    qubits = channel.qubits + layout.client_ids
-    columns = np.kron(channel.amps[:, None], np.eye(2**layout.n))
-    for pair, choice in zip(layout.measure_pairs, choices):
-        projected = [_project_raw(qubits, columns, pair, kind) for kind in choice]
-        qubits = projected[0][0]
-        # axes: remaining qubits, client column, then one per measured pair
-        columns = np.stack([part for _, part in projected], axis=-1)
-        del projected  # held, this level's parts would raise the next level's peak
-    return columns.reshape(2**layout.n, 2**layout.n, -1).transpose(2, 0, 1)
+    if not kinds:
+        raise ValueError("need at least one teleported qubit, got n=0")
+    if len(choices) != len(kinds):
+        raise ValueError(f"{len(choices)} outcomes for {len(kinds)} channel slots")
+    for role, entries in (("channel", kinds), ("outcome", chain(*choices))):
+        for kind in entries:
+            if not isinstance(kind, BellKind):
+                raise TypeError(f"{role} kind must be a BellKind, got {kind!r}")
+    n, pairs = len(kinds), _PATTERNS.reshape(4, 2, 2)
+    # pair m's pattern on ids m and n+m, joined with each client basis state
+    # |j> / 2**n: axes ids 1, n+1, ..., n, 2n, then 2n+1..3n, then column j
+    channel = reduce(np.multiply.outer, pairs[[k.code for k in kinds]])
+    columns = np.multiply.outer(channel, (np.eye(2**n) / 2**n).reshape([2] * n + [-1]))
+    for m, choice in enumerate(choices):
+        patterns = pairs[[k.code for k in choice]]
+        # ids n+m+1, 2n+m+1: the first channel, client axes left; outcome axis last
+        columns = np.tensordot(columns, patterns, axes=([m + 1, 2 * n - m], [1, 2]))
+    return columns.reshape(2**n, 2**n, -1).transpose(2, 0, 1)
 
 
-def transfer_matrix(
-    kinds: ChannelSpec, outcome: tuple[BellKind, ...]
-) -> np.ndarray:
+def transfer_matrix(kinds: ChannelSpec, outcome: tuple[BellKind, ...]) -> np.ndarray:
     """Map from client basis coefficients to Bob's unnormalized collapsed
-    coefficients, for a fixed channel and measurement outcome."""
+    coefficients for a fixed channel and outcome: 2**-n times -1, 0 or 1."""
     return _transfers(kinds, [(kind,) for kind in outcome])[0]
 
 
 def _ratio(a: np.ndarray, b: np.ndarray) -> complex | None:
-    """Scalar c with a == c * b to within CHAIN_TOL, or None: the oracle's
+    """Scalar c with a == c * b to within CHAIN_TOL, or None: the audits'
     one matcher."""
     flat_b = b.reshape(-1)
     idx = np.argmax(np.abs(flat_b))
@@ -97,31 +101,28 @@ def _ratio(a: np.ndarray, b: np.ndarray) -> complex | None:
     return c if _close(a, c * b, CHAIN_TOL) else None
 
 
-def _is_one(c: complex | None) -> bool:
-    return c is not None and abs(c - 1.0) <= CHAIN_TOL
-
-
 def _fit_slots(
     scaled: np.ndarray, combos: Iterable[Sequence[np.ndarray]]
-) -> tuple[Sequence[np.ndarray], complex]:
+) -> tuple[Sequence[np.ndarray], float]:
     """First slot combination whose Kronecker product (left fold) equals
-    ``scaled`` up to a unit scalar, and that scalar."""
+    ``scaled`` exactly up to a sign, and that sign."""
     for combo in combos:
-        c = _ratio(scaled, reduce(np.kron, combo))
-        if c is not None and abs(abs(c) - 1.0) <= CHAIN_TOL:
-            return combo, c
+        kron = reduce(np.kron, combo)
+        for sign in (1.0, -1.0):
+            if np.array_equal(scaled, sign * kron):
+                return combo, sign
     raise FactorizationFailure("no signed Pauli product matches the transfer")
 
 
 def _factor_slots(scaled: np.ndarray) -> list[np.ndarray]:
     """Per-slot factors of one scaled transfer matrix: slots 1..n-1 canonical
-    signed Paulis (first nonzero entry +1), slot 0 carrying the residual
-    phase, so the exact tensor product reproduces it."""
-    if not _close(scaled @ scaled.conj().T, np.eye(len(scaled)), CHAIN_TOL):
+    signed Paulis (first nonzero entry +1), slot 0 carrying the sign, so the
+    exact tensor product reproduces it."""
+    if not np.array_equal(scaled @ scaled.conj().T, np.eye(len(scaled))):
         raise FactorizationFailure("scaled transfer matrix is not unitary")
     n = len(scaled).bit_length() - 1
-    combo, phase = _fit_slots(scaled, product(_SLOT_REPS, repeat=n))
-    return [phase * combo[0]] + [m.copy() for m in combo[1:]]
+    combo, sign = _fit_slots(scaled, product(_SLOT_REPS, repeat=n))
+    return [sign * combo[0]] + [m.copy() for m in combo[1:]]
 
 
 def derive_correction(
@@ -143,11 +144,11 @@ def _derive_tables(kinds: ChannelSpec) -> tuple[list[dict], np.ndarray]:
         for kind in KIND_ORDER[1:]:
             variants = (base[:m] + [rep] + base[m + 1 :] for rep in _SLOT_REPS)
             # the all-psi+ outcome with slot m's kind changed
-            combo, c = _fit_slots(scaled[kind.code * 4 ** (n - 1 - m)], variants)
-            tables[m][kind] = c * combo[m]
+            combo, sign = _fit_slots(scaled[kind.code * 4 ** (n - 1 - m)], variants)
+            tables[m][kind] = sign * combo[m]
     for outcome, matrix in zip(kind_tuples(n), scaled):
         joint = reduce(np.kron, (tables[m][k] for m, k in enumerate(outcome)))
-        if not _close(joint, matrix, CHAIN_TOL):
+        if not np.array_equal(joint, matrix):
             raise FactorizationFailure(
                 f"slot tables are jointly inconsistent at outcome "
                 f"{[k.token for k in outcome]}"
@@ -157,10 +158,10 @@ def _derive_tables(kinds: ChannelSpec) -> tuple[list[dict], np.ndarray]:
 
 def derive_correction_table(kinds: ChannelSpec) -> list[dict[BellKind, np.ndarray]]:
     """Joint per-slot tables A_m with A_0[k0] (x) ... (x) A_{n-1}[k_{n-1}]
-    equal to every scaled transfer matrix to within CHAIN_TOL, from one join.
+    exactly equal to every scaled transfer matrix, from one join.
 
     Gauge: the all-psi+ outcome is factored with slots 1..n-1 canonical and
-    slot 0 absorbing its phase; every other entry is then forced.
+    slot 0 absorbing its sign; every other entry is then forced.
     """
     return _derive_tables(kinds)[0]
 
@@ -300,7 +301,7 @@ def _audit_eq6(report: DivergenceReport, scaled: dict) -> None:
             c = _ratio(printed_map, 0.25 * mat)
             if c is not None and abs(c.imag) <= CHAIN_TOL and c.real > 0:
                 ratios[lab] = c.real
-        exact = [lab for lab, c in ratios.items() if _is_one(c)]
+        exact = [lab for lab, c in ratios.items() if c == 1]
         lab = exact[0] if exact else next(iter(ratios), None)
         if label in exact:
             verdict, notes = VERDICT_MATCH, ""
@@ -356,9 +357,9 @@ def _audit_eq7(report: DivergenceReport, printed: dict, tables: list) -> None:
         printed_desc = f"slot {slot}: {format_matrix_token(mat)}"
         derived_desc = f"slot {slot}: {format_matrix_token(tables[slot][kind])}"
         c = _ratio(mat, tables[slot][kind])
-        if _is_one(c):
+        if c == 1:
             verdict, notes = VERDICT_MATCH, ""
-        elif _is_one(_ratio(mat, tables[other][kind])):
+        elif _ratio(mat, tables[other][kind]) == 1:
             verdict = VERDICT_LABEL
             derived_desc += f"; printed matrix is exact at slot {other}"
             notes = (
@@ -379,7 +380,8 @@ _GROUP_CODES = {"psi": slice(0, 2), "phi": slice(2, 4)}
 
 
 def _audit_eq4(report: DivergenceReport) -> None:
-    basis = cross_bell_basis(((1, 3), (2, 4)))
+    pattern = _PATTERNS.reshape(4, 2, 2)  # row (k, l): kinds k, l on (1, 3), (2, 4)
+    basis = 0.5 * np.einsum("kac,lbd->klabcd", pattern, pattern).reshape(16, 16)
     for location, lhs, line_sign, group1, group2 in _read_data_lines(
         "printed_eq4.txt"
     ):
@@ -388,7 +390,7 @@ def _audit_eq4(report: DivergenceReport) -> None:
             env = {"i": i, "r": r, "!i": 1 - i, "!r": 1 - r, "i+r": i + r}
             state = ket(dict(zip((1, 2, 3, 4), (env[p] for p in lhs.split(",")))))
             # <T|state> per basis state T, indexed by the two pairs' codes
-            actual = np.reshape([np.vdot(b.amps, state.amps) for b in basis], (4, 4))
+            actual = (basis @ state.amps).reshape(4, 4)
             # a line sign is "+" or (-1)^e for an exponent e in env
             sign = 1.0
             if line_sign != "+":

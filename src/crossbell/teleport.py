@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import KIND_ORDER, BellKind, ChannelSpec, cross_bell_state
-from .measure import Walk, _contract, walk_branches
+from .measure import Walk, _channel_level, walk_branches
 from .statevec import (
     PureState,
     QubitSetMismatch,
@@ -167,14 +167,12 @@ def total_state(channel: PureState, client: PureState) -> PureState:
 def _single_pair_table() -> np.ndarray:
     """Scaled transfer matrices 2T of one-qubit teleportation, indexed
     [channel code, outcome code]: column j is Bob's unnormalized state after
-    the sender's pair of kron(channel, |j>) is measured (client id 3 is last)."""
-    layout = ProtocolLayout(1)
-    channels = [prepare_channel((channel,)) for channel in KIND_ORDER]
-    level = np.concatenate([np.kron(ch.amps, np.eye(2)) for ch in channels])
-    qubits = channels[0].qubits + layout.client_ids
-    _, rows, _ = _contract(qubits, level, layout.measure_pairs[0])
-    # rows[2 * c + j, k] is Bob's residual for channel c, client |j>, outcome k
-    return 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
+    the walk's one level from client |j>, so each correction inverts the
+    walk's own level."""
+    eye = np.eye(2, dtype=complex)
+    # a level's rows[j, k] from the rows |j> is Bob's residual for outcome k
+    levels = [_channel_level(eye, kind, 0)[0] for kind in KIND_ORDER]
+    return 2.0 * np.stack(levels).transpose(0, 2, 3, 1)
 
 
 def _pauli_frame(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -87,6 +87,26 @@ _EXPAND_DIGESTS = {
 }
 
 
+# sha256 of whole stdout (tool_version included) of verify and basis. basis
+# prints a BLAS matmul's max_deviation; the bytes held under one, two and the
+# default number of BLAS threads when they were recorded.
+_STDOUT_DIGESTS = {
+    ("verify",): "dc567ffdfd807be0427de90e89e143692fbe0cdf56ee4874bae254cf51b687e5",
+    ("verify", "--format", "json"):
+        "ca0b07ed8096da83c5a0b3e0fdb2fcdd29350b4fd31c4af31c5ace22729e2b41",
+    ("basis", "--n", "1"):
+        "6de38593790a1dcbf035894703335354b9e87c32b8a12926a1de48a02c6e13d6",
+    ("basis", "--n", "2"):
+        "86407a02150d44b8686fc6b17eb313aea43501ffa06134ee377bde4917a7a5ef",
+    ("basis", "--n", "3"):
+        "f43b43f7fc997fbbc6d085986fa637da9dc1b2ed5f368b711ca3da0270994748",
+    ("basis", "--n", "4"):
+        "f5a337c7f34ccabecaed17ba0cf7283c9ba0a5bc63d8ad45dae050f5cc08eb5c",
+    ("basis", "--n", "5"):
+        "37f05b65871b323e5b0686574ca0862f207798641da988877d4c9ac49458f759",
+}
+
+
 def coefficient_digest(text: str) -> str:
     """sha256 of an expand report's coefficients, re-serialized with sorted keys."""
     coefficients = json.loads(text)["coefficients"]
@@ -610,6 +630,12 @@ class TestPinnedValues:
         )
         assert code == 0, err
         assert coefficient_digest(out) == _EXPAND_DIGESTS[source, n_pairs]
+
+    @pytest.mark.parametrize("argv", sorted(_STDOUT_DIGESTS))
+    def test_stdout_bytes(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_DIGESTS[argv]
 
 
 class TestPinsUnderOneBlasThread:

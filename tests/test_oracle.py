@@ -24,6 +24,7 @@ from crossbell.oracle import (
     _audit_eq6,
     _audit_eq7,
     _audit_eq9,
+    _factor_slots,
     _fit_slots,
     _SLOT_REPS,
     _transfers,
@@ -122,10 +123,10 @@ class TestTransferMatrix:
 
 
 def transfer_matrix_in_blocks(kinds, outcome):
-    """``transfer_matrix`` of one outcome projected alone, with the oracle's
-    own kernel (``_project_raw``), 8 client columns at a time, so the whole
-    kron(channel, eye(2^n)) is never held: the per-outcome reference for the
-    oracle's one pass."""
+    """``transfer_matrix`` of one outcome projected alone with ``_project_raw``
+    on ``prepare_channel``'s state, 8 client columns at a time, so the whole
+    kron(channel, eye(2^n)) is never held: a per-outcome reference for the
+    oracle's one pass that shares none of its patterns or contraction."""
     layout = ProtocolLayout(len(kinds))
     channel = prepare_channel(kinds)
     eye = np.eye(2**layout.n)
@@ -165,12 +166,13 @@ class TestOnePass:
         # one join per transfer matrix would be 1 + 3n + 4^n = 74 for this
         # derivation, and 39 for the audit; each joins its channel once
         joined = []
+        transfers = oracle._transfers
 
-        def counting(kinds):
+        def counting(kinds, choices):
             joined.append(tuple(kinds))
-            return prepare_channel(kinds)
+            return transfers(kinds, choices)
 
-        monkeypatch.setattr(oracle, "prepare_channel", counting)
+        monkeypatch.setattr(oracle, "_transfers", counting)
         derive_correction_table(
             (BellKind.PSI_MINUS, BellKind.PHI_PLUS, BellKind.PHI_MINUS)
         )
@@ -178,6 +180,51 @@ class TestOnePass:
         joined.clear()
         verify_paper_tables()
         assert joined == [(BellKind.PHI_PLUS, BellKind.PHI_MINUS)]
+
+
+class TestExactness:
+    """2^n T is an integer matrix, and the derivation fits it exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scaled_transfers_and_slot_tables_are_exact(self, rng, n):
+        # every channel and outcome at n <= 2, two seeded channels above
+        channels = list(product(KIND_ORDER, repeat=n))
+        if n > 2:
+            rows = rng.integers(4, size=(2, n))
+            channels = [tuple(KIND_ORDER[c] for c in row) for row in rows]
+        for kinds in channels:
+            for outcome in kind_tuples(n):
+                scaled = 2**n * transfer_matrix(kinds, outcome)
+                assert np.isin(scaled, (-1, 0, 1)).all(), (kinds, outcome)
+            for table in derive_correction_table(kinds):
+                for entry in table.values():
+                    assert np.isin(entry, (1, -1, 1j, -1j, 0)).all(), kinds
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, args, error, match",
+        [
+            ("transfer_matrix", (PHI_CHANNEL, (BellKind.PSI_PLUS,)), ValueError,
+             r"^1 outcomes for 2 channel slots$"),
+            ("transfer_matrix", (PHI_CHANNEL, (BellKind.PSI_PLUS,) * 3), ValueError,
+             r"^3 outcomes for 2 channel slots$"),
+            ("derive_correction", (PHI_CHANNEL, (BellKind.PSI_PLUS,) * 3), ValueError,
+             r"^3 outcomes for 2 channel slots$"),
+            ("derive_correction_table", (("phi+",),), TypeError,
+             r"^channel kind must be a BellKind, got 'phi\+'$"),
+            ("transfer_matrix", ((BellKind.PSI_PLUS, 2), PHI_CHANNEL), TypeError,
+             r"^channel kind must be a BellKind, got 2$"),
+            ("derive_correction", (PHI_CHANNEL, (BellKind.PSI_PLUS, "psi-")), TypeError,
+             r"^outcome kind must be a BellKind, got 'psi-'$"),
+            ("derive_correction_table", ((),), ValueError, "at least one"),
+        ],
+        ids=["one-of-two", "three-of-two", "derive-three-of-two", "token-channel",
+             "int-channel", "token-outcome", "empty-channel"],
+    )
+    def test_bad_input_raises_naming_it(self, call, args, error, match):
+        with pytest.raises(error, match=match):
+            getattr(oracle, call)(*args)
 
 
 class TestTransferMatrixComposition:
@@ -245,15 +292,19 @@ class TestDeriveCorrection:
             _fit_slots(np.kron(hadamard, SIGMA_0), product(_SLOT_REPS, repeat=2))
 
     def test_the_documented_bound_is_the_bound(self):
-        # CHAIN_TOL = 1e-9 absolute: a 1e-6 deviation is refused even though
-        # numpy's default relative term would have let it through
-        near = np.array([[0, 1], [1 + 1e-10, 0]], dtype=complex)
-        combo, c = _fit_slots(near, product(_SLOT_REPS, repeat=1))
-        assert np.array_equal(combo[0], SIGMA_X)
-        assert abs(c - 1) <= 1e-9
-        far = np.array([[0, 1], [1 + 1e-6, 0]], dtype=complex)
-        with pytest.raises(FactorizationFailure):
-            _fit_slots(far, product(_SLOT_REPS, repeat=1))
+        # the fit is exact: sigma_x fits, and a 1e-10 deviation and a
+        # deviation of one ulp are both refused
+        combo, sign = _fit_slots(SIGMA_X.copy(), product(_SLOT_REPS, repeat=1))
+        assert np.array_equal(combo[0], SIGMA_X) and sign == 1
+        for near in (1 + 1e-10, np.nextafter(1.0, 2.0)):
+            deviated = np.array([[0, 1], [near, 0]], dtype=complex)
+            with pytest.raises(FactorizationFailure):
+                _fit_slots(deviated, product(_SLOT_REPS, repeat=1))
+
+    def test_one_ulp_off_unitary_is_refused_before_the_fit(self):
+        off = np.array([[0, 1], [np.nextafter(1.0, 2.0), 0]])
+        with pytest.raises(FactorizationFailure, match="not unitary"):
+            _factor_slots(off)
 
 
 class TestDeriveCorrectionTable:

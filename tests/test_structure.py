@@ -10,10 +10,12 @@ import crossbell
 
 # Each module imports only modules to its left, so the graph has no cycle.
 LAYERS = ("statevec", "bell", "measure", "teleport", "oracle", "__init__", "cli")
-# The walker's kernels: the oracle must check them, not run on them.
+# The walker's kernels, data and state builders: the oracle must check them,
+# not run on them.
 WALKER_NAMES = {
     "_contract", "_channel_level", "walk_branches", "cross_bell_coefficients",
-    "expand_in_cross_bell",
+    "expand_in_cross_bell", "_BELL_AMPS", "_project_raw", "prepare_channel",
+    "bell_state", "cross_bell_state", "cross_bell_basis",
 }
 
 
@@ -64,6 +66,12 @@ def test_modules_import_only_lower_layers(name):
     for node in ast.walk(_parse(name)):
         modules = _imported_modules(node)
         assert modules <= lower, f"{name} imports {modules - lower}"
+
+
+def test_oracle_imports_only_statevec_and_bell():
+    # its derivation runs on its own patterns and tensordot
+    modules = set().union(*map(_imported_modules, ast.walk(_parse("oracle"))))
+    assert modules == {"statevec", "bell"}
 
 
 def test_oracle_names_none_of_the_walkers_kernels():
