@@ -50,11 +50,33 @@ def branch_digest(path) -> str:
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-# Digests of teleport runs, recorded with the walker that kept each leaf's
-# outcomes as a tuple of codes. They pin the CLI's values apart from the walk
-# that both sides of test_stdout_equals_the_payload_built_from_reports share.
+def outcome_digest(path) -> str:
+    """sha256 of a teleport report's outcomes and probabilities, in branch
+    order, and its max_prob_deviation: the walk's fields, without Bob's
+    corrected state or its fidelities."""
+    payload = json.loads(Path(path).read_text())
+    body = {
+        "branches": [[b["outcome"], b["probability"]] for b in payload["branches"]],
+        "max_prob_deviation": payload["aggregate"]["max_prob_deviation"],
+    }
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def assert_pinned(path, digests: tuple[str, str]) -> None:
+    """A teleport report's (branch_digest, outcome_digest) equal ``digests``."""
+    assert (branch_digest(path), outcome_digest(path)) == digests
+
+
+# Digests of teleport runs: (branch_digest, outcome_digest). The first were
+# recorded with the walker that kept each leaf's outcomes as a tuple of codes;
+# the second, before Bob's correction factors became exactly +-1, and they held
+# across that change. They pin the CLI's values apart from the walk that both
+# sides of test_stdout_equals_the_payload_built_from_reports share.
 _CHANNELS = ["phi+", "psi-", "phi-", "psi+"] * 2
-N7_DIGEST = "9b9dd9732feccd095c3e9f17e61d608d7e743e2ea31a3012ddb730e2a4177461"
+N7_DIGESTS = (
+    "9b9dd9732feccd095c3e9f17e61d608d7e743e2ea31a3012ddb730e2a4177461",
+    "99b3d5fd6443fb3e8d256f91c4667c27281a2ac82119d04a35a77ed8b466d5b8",
+)
 # (±1 ± 1j) / 4 on each of 8 amplitudes: the squared norm is exactly 1
 _PINNED_CLIENT = (
     "crossbell-state v1\nqubits 1 2 3\n0.25 0.25\n0.25 -0.25\n-0.25 0.25\n"
@@ -63,15 +85,47 @@ _PINNED_CLIENT = (
 # an enumeration's outcomes and probabilities do not depend on the client, so
 # two presets differ only in their fidelities' last bits, which agree at n <= 2
 _PRESET_DIGESTS = {
-    ("ghz", 1): "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
-    ("ghz", 2): "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
-    ("ghz", 3): "3234d16dcd48d10024376d577e1ce27d2982728f3fbcd4263131c20c734d9bdf",
-    ("ghz", 4): "1345347c1fe4d5e336a44a54425778bb9d5e6ffa15de8c6be7d0b9ac05cf5b3a",
-    ("uniform", 1): "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
-    ("uniform", 2): "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
-    ("uniform", 3): "a12bdfb9dc1b2d8dd177c13a0d02d27cf0f640f9bb34aabcf22c26a9024724f5",
-    ("uniform", 4): "f01faa748e5ad8ccae45af08eead5b0fa3a35a7169318c9b5ddf3ca5f1be370b",
+    ("ghz", 1): (
+        "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+        "881467a09f9a74d46f35e3b6ad64c29b0712f4c97e47653671060fc275fb86d7",
+    ),
+    ("ghz", 2): (
+        "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+        "8082b9eee507945958e001eebd8324776e9da5d933bb6b5d6a00ea8b031fb925",
+    ),
+    ("ghz", 3): (
+        "3234d16dcd48d10024376d577e1ce27d2982728f3fbcd4263131c20c734d9bdf",
+        "a3f5848f6c1c82452d27675e562595b4f93ea5b6647a350c0d4ee8a7a020c588",
+    ),
+    ("ghz", 4): (
+        "1345347c1fe4d5e336a44a54425778bb9d5e6ffa15de8c6be7d0b9ac05cf5b3a",
+        "55794d020ad33acbaecfe0a989f3c27b0636bd13123db849d64a85908ccc5cf8",
+    ),
+    ("uniform", 1): (
+        "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+        "881467a09f9a74d46f35e3b6ad64c29b0712f4c97e47653671060fc275fb86d7",
+    ),
+    ("uniform", 2): (
+        "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+        "8082b9eee507945958e001eebd8324776e9da5d933bb6b5d6a00ea8b031fb925",
+    ),
+    ("uniform", 3): (
+        "a12bdfb9dc1b2d8dd177c13a0d02d27cf0f640f9bb34aabcf22c26a9024724f5",
+        "a79ea32337815b63466cfa0935b6fecf69a985bb4cfcf0c6891302dbb459d58f",
+    ),
+    ("uniform", 4): (
+        "f01faa748e5ad8ccae45af08eead5b0fa3a35a7169318c9b5ddf3ca5f1be370b",
+        "f6e8d5fc15c892460885909cf0013981cef033a167119acde5c2852cd7ff6ba5",
+    ),
 }
+_FILE_CLIENT_DIGESTS = (
+    "ca962dfa750d1b5ab85548336d359da9731d7b2088e482e6fa9e769fb614ba20",
+    "022183132005ed1a3a70615171eef464497d86d5d09c0878ab867ead00812366",
+)
+_SAMPLED_DIGESTS = (
+    "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3",
+    "aa8ee02ebd1b7e106c3a833525a36ca1cd0ce5a915ee97e3cf25963b95de9c55",
+)
 
 
 # Digests of expand's coefficients, re-serialized with sorted keys, recorded
@@ -253,7 +307,7 @@ class TestTeleportCommand:
         assert len(payload["branches"]) == 4**MAX_PARTIES == 16384
         assert payload["aggregate"]["min_fidelity"] >= 1 - 1e-9
         assert elapsed < wall_bound_s
-        assert branch_digest(path) == N7_DIGEST
+        assert_pinned(path, N7_DIGESTS)
 
     def test_largest_advertised_n_samples_a_thousand_trials_in_bounded_time(
         self, tmp_path
@@ -582,7 +636,7 @@ class TestPinnedValues:
         path = tmp_path / "run.json"
         argv = ["teleport", "--channel", channel, "--client", client, "--seed", "7"]
         assert main(argv + ["--out", str(path)]) == 0
-        assert branch_digest(path) == _PRESET_DIGESTS[client, n]
+        assert_pinned(path, _PRESET_DIGESTS[client, n])
 
     def test_file_client_enumeration(self, tmp_path):
         state = tmp_path / "client.state"
@@ -592,9 +646,7 @@ class TestPinnedValues:
             "teleport", "--channel", "psi+,phi-,psi-", "--client", f"file:{state}",
             "--seed", "7", "--out", str(path),
         ]) == 0
-        assert branch_digest(path) == (
-            "ca962dfa750d1b5ab85548336d359da9731d7b2088e482e6fa9e769fb614ba20"
-        )
+        assert_pinned(path, _FILE_CLIENT_DIGESTS)
 
     def test_thousand_sampled_trials(self, tmp_path):
         path = tmp_path / "run.json"
@@ -602,9 +654,7 @@ class TestPinnedValues:
             "teleport", "--channel", "phi-,psi+,phi+", "--mode", "sample",
             "--trials", "1000", "--seed", "7", "--out", str(path),
         ]) == 0
-        assert branch_digest(path) == (
-            "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3"
-        )
+        assert_pinned(path, _SAMPLED_DIGESTS)
 
     @pytest.mark.parametrize("source, n_pairs", sorted(_EXPAND_DIGESTS))
     def test_expand_coefficients(self, capsys, tmp_path, source, n_pairs):
