@@ -38,7 +38,6 @@ from .statevec import (
     apply_local,
     canonicalize,
     cross,
-    is_unitary2,
 )
 
 FRAME_MAGIC = b"XBEL"
@@ -166,46 +165,43 @@ def total_state(channel: PureState, client: PureState) -> PureState:
 
 def _single_pair_table() -> np.ndarray:
     """Scaled transfer matrices 2T of one-qubit teleportation, indexed
-    [channel code, outcome code]: column j is Bob's unnormalized state after
-    the walk's one level from client |j>, so each correction inverts the
-    walk's own level."""
+    [channel code, outcome code]: column j holds the signs of Bob's
+    unnormalized state after the walk's one level from client |j>, so each
+    entry is exactly -1, 0 or 1 and each correction inverts the walk's own
+    level."""
     eye = np.eye(2, dtype=complex)
     # a level's rows[j, k] from the rows |j> is Bob's residual for outcome k
     levels = [_channel_level(eye, kind, 0)[0] for kind in KIND_ORDER]
-    return 2.0 * np.stack(levels).transpose(0, 2, 3, 1)
+    return np.sign(np.stack(levels).transpose(0, 2, 3, 1))
 
 
 def _pauli_frame(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bob's inverses, ``table``'s conjugate transposes, as a Pauli frame: row
     r of inverse (c, k) holds one real nonzero, ``factors[c, k, r]``, at column
-    ``r ^ flips[c, k]``. Each is checked with ``is_unitary2``, as ``apply_local``
-    checks a gate, entry by entry against its frame, and for factors of the one
-    magnitude most entries share, which lets ``_correct`` scale by it alone."""
+    ``r ^ flips[c, k]``. Each inverse is checked entry by entry against its
+    frame, and each factor for being exactly +1 or -1, so every inverse is a
+    signed Pauli, unitary without a tolerance, and ``_correct`` scales by none."""
     inverses = table.conj().swapaxes(-1, -2)
     flips = (abs(inverses[..., 0, 1]) > abs(inverses[..., 0, 0])).astype(np.intp)
     columns = np.arange(2) ^ flips[..., None]
     factors = np.take_along_axis(inverses, columns[..., None], -1)[..., 0].real
-    # the middle magnitude is the common one unless half the factors differ
-    magnitude = sorted(abs(factors).ravel().tolist())[factors.size // 2]
     for c, k in np.ndindex(4, 4):
         entry = f"single-pair correction ({KIND_ORDER[c].token}, {KIND_ORDER[k].token})"
         frame = np.diag(factors[c, k])[:, columns[c, k]]
-        if not (is_unitary2(inverses[c, k]) and np.array_equal(inverses[c, k], frame)):
+        if not np.array_equal(inverses[c, k], frame):
             raise StateError(f"{entry} is not a signed Pauli")
         scales = abs(factors[c, k]).tolist()
-        if scales != [magnitude] * 2:
-            raise StateError(f"{entry} scales by {scales}, not by {magnitude!r}")
+        if scales != [1.0, 1.0]:
+            raise StateError(f"{entry} scales by {scales}, not by 1")
     return flips, factors
 
 
 # The channel is a product of independent pairs, so slot m's correction is
 # the single-pair one for its own channel kind and outcome.
 _PAIR_CORRECTIONS = _single_pair_table()
-# Slot m's inverse flips Bob's bit m by _FLIPS[channel, outcome] and scales
-# the row whose bit m is b by the real _FACTORS[channel, outcome, b].
+# Slot m's inverse flips Bob's bit m by _FLIPS[channel, outcome] and negates
+# the row whose bit m is b where _FACTORS[channel, outcome, b], +-1.0, is -1.
 _FLIPS, _FACTORS = _pauli_frame(_PAIR_CORRECTIONS)
-# The one magnitude of every factor, as _pauli_frame checks.
-_MAGNITUDE = abs(_FACTORS[0, 0, 0])
 # KIND_ORDER as an array, so indexing it with an array of codes gives kinds.
 _KIND_OF = np.array(KIND_ORDER, dtype=object)
 
@@ -301,10 +297,10 @@ def _correct(
     row's index, and column m of ``walk.outcomes`` picks each row's frame for
     it. One ``take`` and one row sum of :func:`_frame_tables`' ``packed`` give
     each row's X mask, Z mask and sign parity. One gather applies the X mask;
-    then the float view is scaled in place by the factors' one magnitude once
-    per slot, as each slot's signed factor rounds, and multiplied by its row of
-    exact signs (past _SIGN_SLOTS slots, by a row of ``high`` too). Each step
-    is elementwise, so a row's bits do not depend on the rows sharing its call.
+    then the float view is multiplied in place by its row of exact signs (past
+    _SIGN_SLOTS slots, by a row of ``high`` too). Each factor is +-1, so a
+    corrected row holds its leaf's floats, moved and negated, and no row's bits
+    depend on the rows sharing its call.
     """
     n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
     packed, signs, high = _frame_tables(n)
@@ -314,8 +310,6 @@ def _correct(
     mask = (frames & 2**n - 1).astype(lanes.dtype)
     corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]
     blocks = corrected.view(np.float64).reshape(len(codes), 2 ** (n - low), -1)
-    for _ in range(n):
-        blocks *= _MAGNITUDE
     blocks *= signs[frames >> n & 2 ** (low + 1) - 1][:, None]
     if n > low:
         blocks *= high[frames >> n + low + 8][..., None]

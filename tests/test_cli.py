@@ -68,13 +68,12 @@ def assert_pinned(path, digests: tuple[str, str]) -> None:
 
 
 # Digests of teleport runs: (branch_digest, outcome_digest). The first were
-# recorded with the walker that kept each leaf's outcomes as a tuple of codes;
-# the second, before Bob's correction factors became exactly +-1, and they held
-# across that change. They pin the CLI's values apart from the walk that both
-# sides of test_stdout_equals_the_payload_built_from_reports share.
+# recorded once Bob's correction factors were exactly +-1; the second, before
+# that, and they held across it. They pin the CLI's values apart from the walk
+# that both sides of test_stdout_equals_the_payload_built_from_reports share.
 _CHANNELS = ["phi+", "psi-", "phi-", "psi+"] * 2
 N7_DIGESTS = (
-    "9b9dd9732feccd095c3e9f17e61d608d7e743e2ea31a3012ddb730e2a4177461",
+    "7cea6cf7aff0c7f0998e1b603867785a4fb729367029b6a4cd1243a4fc9fa2ae",
     "99b3d5fd6443fb3e8d256f91c4667c27281a2ac82119d04a35a77ed8b466d5b8",
 )
 # (±1 ± 1j) / 4 on each of 8 amplitudes: the squared norm is exactly 1
@@ -83,47 +82,47 @@ _PINNED_CLIENT = (
     "-0.25 -0.25\n0.25 -0.25\n0.25 0.25\n-0.25 -0.25\n-0.25 0.25\n"
 )
 # an enumeration's outcomes and probabilities do not depend on the client, so
-# two presets differ only in their fidelities' last bits, which agree at n <= 2
+# two presets differ only in their fidelities' last bits, which agree at n = 1
 _PRESET_DIGESTS = {
     ("ghz", 1): (
-        "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+        "1ba4613dc5f683fefda2218dce92c8f9d54a8394815f079c9e612fbb7bf1ee7c",
         "881467a09f9a74d46f35e3b6ad64c29b0712f4c97e47653671060fc275fb86d7",
     ),
     ("ghz", 2): (
-        "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+        "fecad53c75aec70a76ed2c2a4269ca6fc38a570b7001e54766e09b88daaf450a",
         "8082b9eee507945958e001eebd8324776e9da5d933bb6b5d6a00ea8b031fb925",
     ),
     ("ghz", 3): (
-        "3234d16dcd48d10024376d577e1ce27d2982728f3fbcd4263131c20c734d9bdf",
+        "339bd0b3f51a922ae7b053c93821a9ddd0d62074d048d686946366e378f2ae2c",
         "a3f5848f6c1c82452d27675e562595b4f93ea5b6647a350c0d4ee8a7a020c588",
     ),
     ("ghz", 4): (
-        "1345347c1fe4d5e336a44a54425778bb9d5e6ffa15de8c6be7d0b9ac05cf5b3a",
+        "04c9cd0baf714578aa2d033c14e5edd9269f1594a0f44d34a7c5746770810e3b",
         "55794d020ad33acbaecfe0a989f3c27b0636bd13123db849d64a85908ccc5cf8",
     ),
     ("uniform", 1): (
-        "dd3628f4432dfcb9bbb6d3fe1a520a6884635339de4c1634605000bff2989da0",
+        "1ba4613dc5f683fefda2218dce92c8f9d54a8394815f079c9e612fbb7bf1ee7c",
         "881467a09f9a74d46f35e3b6ad64c29b0712f4c97e47653671060fc275fb86d7",
     ),
     ("uniform", 2): (
-        "5485ffb9ec284fed8a713323c953883e640fc5944582b906fe5e4bffacf85c6c",
+        "a294a33c32f4bff9da3c659eecf2b40ddee7c92bce387950586beb7c88cb5200",
         "8082b9eee507945958e001eebd8324776e9da5d933bb6b5d6a00ea8b031fb925",
     ),
     ("uniform", 3): (
-        "a12bdfb9dc1b2d8dd177c13a0d02d27cf0f640f9bb34aabcf22c26a9024724f5",
+        "a5821d09aada5ed6fd4ddfb63936f3dd671c9ccbe9fd3dc4254ea98f7d2fc441",
         "a79ea32337815b63466cfa0935b6fecf69a985bb4cfcf0c6891302dbb459d58f",
     ),
     ("uniform", 4): (
-        "f01faa748e5ad8ccae45af08eead5b0fa3a35a7169318c9b5ddf3ca5f1be370b",
+        "7e18b0860064f5b59e26318094eabebe19032f648523fc659dae6dd79f151912",
         "f6e8d5fc15c892460885909cf0013981cef033a167119acde5c2852cd7ff6ba5",
     ),
 }
 _FILE_CLIENT_DIGESTS = (
-    "ca962dfa750d1b5ab85548336d359da9731d7b2088e482e6fa9e769fb614ba20",
+    "937d687477fe98ebb0d6fb0f54f898642ec459616fb24b63153f39fa6294d032",
     "022183132005ed1a3a70615171eef464497d86d5d09c0878ab867ead00812366",
 )
 _SAMPLED_DIGESTS = (
-    "80858c2d31fe427cbb37133cd296e8d14c0ca0caaf9d5947f6e3a0a4be4ee2a3",
+    "f47d3f525f90e8184c7310fae2fee591330460bf5216fc12df303d0a6283dcc5",
     "aa8ee02ebd1b7e106c3a833525a36ca1cd0ce5a915ee97e3cf25963b95de9c55",
 )
 

@@ -325,6 +325,24 @@ class TestWalkBranches:
                 walk_branches(kinds, vec, seeds)
 
     @pytest.mark.parametrize(
+        "vec",
+        [np.array([0.5, 0.0, -0.5, 0.5]),
+         np.array([0.5, 0.5j, -0.5, 0.5], dtype=np.complex64),
+         np.array([1, 0, 0, 0])],
+        ids=["float64", "complex64", "int64"],
+    )
+    def test_amplitudes_other_than_complex128_raise_before_any_level(
+        self, monkeypatch, vec
+    ):
+        # unchecked, the level read a float64 client's 4 floats as 2 amplitudes
+        kinds = (BellKind.PHI_PLUS,) * 2
+        monkeypatch.setattr(measure_module, "_channel_level", no_level)
+        message = rf"client amplitudes must be complex128, got dtype {vec.dtype}"
+        for seeds in (None, [5]):
+            with pytest.raises(TypeError, match=message):
+                walk_branches(kinds, vec, seeds)
+
+    @pytest.mark.parametrize(
         "seeds, error",
         [
             ([-1], ValueError),

@@ -237,7 +237,7 @@ class TestTransferMatrixComposition:
         )
         for outcome, matrix in zip(product(range(4), repeat=n), scaled):
             composed = reduce(np.kron, _PAIR_CORRECTIONS[channel, list(outcome)])
-            assert np.max(np.abs(matrix - composed)) <= CHAIN_TOL
+            assert np.array_equal(matrix, composed)
 
     # n = 6 holds 256 MiB in one pass, so two outcomes are projected alone;
     # n = 7 is left out: in 8-column blocks it took 4.9 s and 654 MB
@@ -368,7 +368,7 @@ class TestDeriveCorrectionTable:
             for kind in KIND_ORDER:
                 composed = corrections_for(kinds, (kind,) * n)
                 for m in range(n):
-                    assert np.max(np.abs(composed[m] - tables[m][kind])) <= 1e-12
+                    assert np.array_equal(composed[m], tables[m][kind])
 
 
 class TestEntanglement:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import crossbell.measure as measure_module
 import crossbell.teleport as teleport_module
+from crossbell import oracle
 from crossbell.bell import KIND_ORDER, BellKind
 from crossbell.measure import _contract, bell_collapse, project_onto_bell, walk_branches
 from crossbell.statevec import (
@@ -476,6 +477,27 @@ class TestCorrectStep:
         assert np.array_equal(corrected, expected)
         assert np.array_equal(fidelities, expected_fidelities)
 
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(1, None), (2, None), (3, None), (4, None), (5, None), (6, None),
+         (7, None), (3, 1000), (9, 1000)],
+        ids=["enumerate-1", "enumerate-2", "enumerate-3", "enumerate-4",
+             "enumerate-5", "enumerate-6", "enumerate-7", "sample-3", "sample-9"],
+    )
+    def test_each_corrected_row_holds_its_leafs_floats_up_to_sign_and_order(
+        self, rng, n, trials
+    ):
+        # a Pauli frame moves and negates amplitudes; it rescales none
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        seeds = None if trials is None else rng.integers(2**63, size=trials)
+        walk = walk_branches(kinds, client.amps, seeds)
+        corrected, _ = teleport_module._correct(kinds, walk, client.amps)
+        rows = len(walk.leaves)
+        got = np.sort(abs(corrected.view(np.float64).reshape(rows, -1)), axis=1)
+        leaves = np.sort(abs(walk.leaves.view(np.float64).reshape(rows, -1)), axis=1)
+        assert np.array_equal(got, leaves)
+
     def test_state_checks_per_enumerate_do_not_grow_with_n(self, rng, monkeypatch):
         # the leaf states are checked in one batch, not one PureState each
         calls = []
@@ -568,8 +590,12 @@ class TestCorrectStep:
         ]
         level = np.stack([total.amps for total in totals])
         _, rows, _ = _contract(totals[0].qubits, level, pair)
-        expected = 2.0 * rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1)
-        assert np.array_equal(teleport_module._PAIR_CORRECTIONS, expected)
+        expected = np.sign(rows.reshape(4, 2, 4, 2).transpose(0, 2, 3, 1))
+        table = teleport_module._PAIR_CORRECTIONS
+        assert np.array_equal(table, expected)
+        for c, k in np.ndindex(4, 4):
+            transfer = oracle.transfer_matrix((KIND_ORDER[c],), (KIND_ORDER[k],))
+            assert np.array_equal(table[c, k], 2 * transfer)
 
     def test_import_check_rejects_a_corrupted_single_pair_entry(self):
         table = teleport_module._PAIR_CORRECTIONS.copy()
