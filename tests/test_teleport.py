@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import hashlib
 import importlib
 import inspect
 import json
@@ -666,6 +667,86 @@ class TestCorrectStep:
         result = run_optimized(code)
         assert result.returncode == 0, result.stderr
         assert "(psi-, phi+) is not a signed Pauli" in result.stdout
+
+
+def haar_amps(n, rng, zeros=False):
+    """A Haar-random client's 2**n amplitudes, normalized by a float-view
+    einsum (no BLAS). With ``zeros``, about half the amplitudes and half the
+    imaginary parts left are exact zeros, and amplitude 0 is 1 before the
+    normalization."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    if zeros:
+        amps *= rng.random(2**n) < 0.5
+        amps[0] = 1.0
+        amps.imag[rng.random(2**n) < 0.5] = 0.0
+    flat = amps.view(np.float64)
+    return amps / np.sqrt(np.einsum("i,i->", flat, flat))
+
+
+# sha256 of (the walk's outcomes, probabilities, leaves and trial_leaf bytes,
+# _correct's rows, its fidelities) per case: (n, trials, zeros). Each case
+# draws its channel, client and seeds from default_rng(sum of its name's
+# code points). The zero-holding client's leaves hold -0.0 entries.
+_WALK_CASES = {
+    "enumerate-5": (5, None, False),
+    "enumerate-6": (6, None, False),
+    "sample-7": (7, 10000, False),
+    "one-seed-9": (9, 1, False),
+    "zeros-4": (4, None, True),
+}
+_WALK_DIGESTS = {
+    "enumerate-5": (
+        "4f3a22ed1c2645752b919b30f834fc72a2c77946bc7fa05d8c05ac6b2bd914b3",
+        "b6429b77a578c146e6f90afbbb348acd35892958e921185c542f64a653d3c21e",
+        "8c95ba77849fc707ba7b93294b0432884add70c5f1ee05e1bd5a2d1ae07967de",
+    ),
+    "enumerate-6": (
+        "eb9e5ca66e26aa57b71471d53bd5434f33b5065bd2dbd3b05a63b375ddda5fba",
+        "c0aa84ba3433762e0b985a9fc099a0af70ae13061c2d7b0926d96bb0b3b9f6fb",
+        "bf27474a1e717484d650d95a833ae123ab78335f2ad492ff1a0b8dacf489cfe2",
+    ),
+    "sample-7": (
+        "26ffffb972c8ca1fb2cd66de0ab46764a0f1bab60054dd4e43cbc6502621bc56",
+        "c43c705fc1e94a6bb7a0cf10d253d73667095896bd1f19b1d400b8274631ab16",
+        "ceaf685e5c53f5ee282a5e5a9bc5fa22ccfff787e8650b4b91f0430eef1cb583",
+    ),
+    "one-seed-9": (
+        "51a2de16288b477bcb42bc22725adddb7c203c7cbfc903a49ae6d3687bb002bc",
+        "4a7ad36d9b3ee6d39f04f9a89ac7e98a754adc9759c9ab620c73bdf71bbcd05c",
+        "2e140544164bed9f7b13e3950fa7fa28b010da51eef44b2313b07324e1d98c0d",
+    ),
+    "zeros-4": (
+        "71c399de8cb07156b16243b4b43f6727ad56632c71b68f4c0dd9090608d00d67",
+        "2f4c1fc591735d178f463136c6ee41356f54a924169a56cde456664a719fb01a",
+        "209ac9b1313001635e3f45f43647da83ddff30f344c1d718a5e7f01e65da7e5e",
+    ),
+}
+
+
+class TestWalkAndCorrectionPins:
+    @pytest.mark.parametrize("case", sorted(_WALK_CASES))
+    def test_bytes_equal_the_pins(self, case):
+        n, trials, zeros = _WALK_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        amps = haar_amps(n, rng, zeros)
+        seeds = None if trials is None else rng.integers(2**63, size=trials)
+        walk = walk_branches(kinds, amps, seeds)
+        rows, fidelities = teleport_module._correct(kinds, walk, amps)
+        columns = [walk.outcomes, walk.probabilities, walk.leaves]
+        if trials is not None:
+            columns.append(walk.trial_leaf)
+        digest = hashlib.sha256()
+        for column in columns:
+            digest.update(column.tobytes())
+        assert (
+            digest.hexdigest(),
+            hashlib.sha256(rows.tobytes()).hexdigest(),
+            hashlib.sha256(fidelities.tobytes()).hexdigest(),
+        ) == _WALK_DIGESTS[case]
+        if zeros:
+            flat = walk.leaves.view(np.float64)
+            assert np.signbit(flat[flat == 0]).any()
 
 
 class TestRunProtocol:
