@@ -13,6 +13,7 @@ fully determines the path. The one-pair calls :func:`sample_kind` and
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -249,6 +250,23 @@ _AMPS = np.array([_BELL_AMPS[k] for k in KIND_ORDER]).reshape(4, 2, 2)
 _LEVEL_FACTORS = _SQRT1_2 * np.sign(np.einsum("Kba,kac->Kkb", _AMPS, _AMPS.conj()).real)
 
 
+@functools.cache
+def _level_tables(code: int, width: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of level ``depth`` over rows of ``width`` amplitudes and
+    a channel pair of kind code ``code``: amplitude i of a node's (4, width)
+    children is amplitude ``index[i]`` of the node, and float j of the children
+    is then multiplied by ``factors[j]``, that child's +-2**-1/2 at Bob's bit."""
+    shape = (4, 2**depth, 2, width >> (depth + 1))  # child, Bob's bits, bit d, rest
+    k, bob, bit, rest = np.indices(shape, sparse=True)
+    # children 2f and 2f + 1 read bit d straight, the other two reversed
+    index = ((2 * bob + (bit ^ (k >> 1 != code >> 1))) * shape[3] + rest).ravel()
+    signs = _LEVEL_FACTORS[code].reshape(4, 1, 2, 1, 1)
+    factors = np.broadcast_to(signs, shape + (2,)).ravel()
+    for table in (index, factors):
+        table.setflags(write=False)
+    return index, factors
+
+
 def _channel_level(
     level: np.ndarray, kind: BellKind, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,17 +277,16 @@ def _channel_level(
     sits at axis d and Bob's qubit d+1 takes its place: child k is the node,
     that axis reversed where the kinds' codes differ in their high bit, times
     +-2**-1/2 twice, the join's and projection's roundings (their bits but for
-    the sign of an exact zero). No joined row is built."""
-    # children 2f, 2f + 1 read halves[:, f]: axis d reversed unless f is kind's
-    rows_in, f = len(level), kind.code >> 1
-    node = level.view(np.float64).reshape(rows_in, 2**depth, 2, -1)
-    halves = np.empty((rows_in, 2) + node.shape[1:])
-    np.multiply(node, _SQRT1_2, out=halves[:, f])
-    halves[:, 1 - f] = halves[:, f, :, ::-1]
-    # each child's signs spread over whole rows, so one multiply runs along rows
-    factors = np.empty((2, 2) + node.shape[1:])
-    factors[...] = _LEVEL_FACTORS[kind.code].reshape(2, 2, 1, 2, 1)
-    flat = np.multiply(halves[:, :, None], factors).reshape(rows_in, 4, -1)
+    the sign of an exact zero). No joined row is built: the node's floats are
+    multiplied by 2**-1/2, one ``take`` through :func:`_level_tables`' index
+    lays out all four children, and one in-place multiply by its row of
+    factors signs them."""
+    rows_in, width = level.shape
+    index, factors = _level_tables(kind.code, width, depth)
+    scaled = (level.view(np.float64) * _SQRT1_2).view(complex)
+    flat = scaled.take(index, axis=1).view(np.float64)
+    flat *= factors
+    flat = flat.reshape(rows_in, 4, -1)
     return flat.view(complex), np.einsum("nki,nki->nk", flat, flat)
 
 

@@ -270,10 +270,10 @@ def _frame_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit of Bob's index is b = n - 1 - m. Bit b is the flip, bit n + b (n + b
     + 8 if b >= low) the Z bit, set if the factor's sign follows Bob's bit,
     and bit n + low the factor's sign at bit 0. So a row's sum over its slots
-    holds its X mask in bits 0..n-1, then its low Z mask z and sign parity p,
-    whose ``signs[p << low | z]`` is the +-1 of each of 2**(low + 1) floats,
-    then 8 bits of sign count (at most n), then its high Z mask, whose row of
-    ``high`` signs each block of 2**low lanes."""
+    (:func:`_frames`) holds its X mask in bits 0..n-1, then its low Z mask z
+    and sign parity p, whose ``signs[p << low | z]`` is the +-1 of each of
+    2**(low + 1) floats, then 8 bits of sign count (at most n), then its high
+    Z mask, whose row of ``high`` signs each block of 2**low lanes."""
     low = min(n, _SIGN_SLOTS)
     b = n - 1 - np.arange(n)[:, None, None]
     negative = (_FACTORS < 0).astype(np.intp)
@@ -287,6 +287,15 @@ def _frame_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return packed, signs, high
 
 
+def _frames(packed: np.ndarray, kinds: ChannelSpec, codes: np.ndarray) -> np.ndarray:
+    """Each row's packed frame: the sum over slots m of ``packed[m, kinds[m]]``
+    at the row's outcome code ``codes[:, m]``, one slot at a time."""
+    frames = packed[0, kinds[0].code][codes[:, 0]]
+    for m in range(1, len(kinds)):
+        frames += packed[m, kinds[m].code][codes[:, m]]
+    return frames
+
+
 def _correct(
     kinds: ChannelSpec, walk: Walk, reference: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,17 +304,16 @@ def _correct(
 
     Leaf rows hold Bob's state on ids 1..n, so slot m is bit n - 1 - m of a
     row's index, and column m of ``walk.outcomes`` picks each row's frame for
-    it. One ``take`` and one row sum of :func:`_frame_tables`' ``packed`` give
-    each row's X mask, Z mask and sign parity. One gather applies the X mask;
-    then the float view is multiplied in place by its row of exact signs (past
-    _SIGN_SLOTS slots, by a row of ``high`` too). Each factor is +-1, so a
-    corrected row holds its leaf's floats, moved and negated, and no row's bits
-    depend on the rows sharing its call.
+    it. :func:`_frames` adds up each row's entries of :func:`_frame_tables`'
+    ``packed``, one gather per slot, into its X mask, Z mask and sign parity.
+    One gather applies the X mask; then the float view is multiplied in place
+    by its row of exact signs (past _SIGN_SLOTS slots, by a row of ``high``
+    too). Each factor is +-1, so a corrected row holds its leaf's floats,
+    moved and negated, and no row's bits depend on the rows sharing its call.
     """
     n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
     packed, signs, high = _frame_tables(n)
-    m = np.arange(n)  # every slot
-    frames = packed[m, [k.code for k in kinds]].ravel().take(codes + 4 * m).sum(1)
+    frames = _frames(packed, kinds, codes)
     lanes = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
     mask = (frames & 2**n - 1).astype(lanes.dtype)
     corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]

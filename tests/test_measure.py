@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossbell.measure as measure_module
-from crossbell.bell import _BELL_AMPS, KIND_ORDER, BellKind, _contract, bell_state
+from crossbell.bell import (
+    _BELL_AMPS, _SQRT1_2, KIND_ORDER, BellKind, _contract, bell_state
+)
 from crossbell.measure import (
     ZeroProbabilityOutcome,
     _pick,
@@ -510,6 +512,22 @@ def joined_then_contracted(level, kind, depth):
     return rows, probs
 
 
+def halves_level(level, kind, depth):
+    """Reference for ``_channel_level``'s array steps, the kernel they
+    replaced: each node times 2**-1/2 into one half of a (N, 2, ...) block,
+    the other half its copy with axis d reversed, then one broadcast multiply
+    by ``_LEVEL_FACTORS[kind]`` writes all four children."""
+    rows_in, f = len(level), kind.code >> 1
+    node = level.view(np.float64).reshape(rows_in, 2**depth, 2, -1)
+    halves = np.empty((rows_in, 2) + node.shape[1:])
+    np.multiply(node, _SQRT1_2, out=halves[:, f])
+    halves[:, 1 - f] = halves[:, f, :, ::-1]
+    factors = np.empty((2, 2) + node.shape[1:])
+    factors[...] = measure_module._LEVEL_FACTORS[kind.code].reshape(2, 2, 1, 2, 1)
+    flat = np.multiply(halves[:, :, None], factors).reshape(rows_in, 4, -1)
+    return flat.view(complex), np.einsum("nki,nki->nk", flat, flat)
+
+
 class TestChannelLevel:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_walk_equals_the_join_then_contract_reference(self, rng, n):
@@ -543,6 +561,38 @@ class TestChannelLevel:
             if amps is dense:
                 assert walk.leaves.tobytes() == expected.leaves.tobytes()
 
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_and_born_sums_equal_the_halves_reference_bit_for_bit(self, n):
+        # every kind at every depth, on levels of 1, 5 and 64 rows, dense and
+        # holding exact zeros of either sign: the bytes, signs of zero included
+        rng = np.random.default_rng(n)
+        for rows, zeros in product((1, 5, 64), (False, True)):
+            level = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+            if zeros:
+                level *= rng.random(level.shape) < 0.5
+                level.imag[rng.random(level.shape) < 0.5] = 0.0
+                level.real[rng.random(level.shape) < 0.25] = -0.0
+            for kind, depth in product(KIND_ORDER, range(n)):
+                got = measure_module._channel_level(level, kind, depth)
+                expected = halves_level(level, kind, depth)
+                assert got[0].shape == expected[0].shape == (rows, 4, 2**n)
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        # one pair of tables per (kind code, row width, depth) the walk met
+        tables = measure_module._level_tables
+        tables.cache_clear()
+        kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS)
+        walk_branches(kinds, np.full(4, 0.5 + 0j))
+        assert tables.cache_info().currsize == 2
+        for depth, kind in enumerate(kinds):
+            for table in tables(kind.code, 4, depth):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0
+        assert tables.cache_info().currsize == 2
 
 _WORD = 2**64 - 1
 

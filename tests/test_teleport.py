@@ -418,6 +418,15 @@ class TestRecover:
             assert report.fidelity_vs_client == pytest.approx(1.0, abs=1e-9)
 
 
+def take_sum_frames(kinds, codes):
+    """Reference for ``_frames``: the frame step it replaced, one ``take`` of
+    every (row, slot) entry from the slots' rows of ``packed``, flattened, and
+    one sum over each row."""
+    packed = teleport_module._frame_tables(len(kinds))[0]
+    m = np.arange(len(kinds))
+    return packed[m, [k.code for k in kinds]].ravel().take(codes + 4 * m).sum(1)
+
+
 class TestCorrectStep:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_recover_on_every_branch_of_every_channel(self, rng, n):
@@ -498,6 +507,22 @@ class TestCorrectStep:
         got = np.sort(abs(corrected.view(np.float64).reshape(rows, -1)), axis=1)
         leaves = np.sort(abs(walk.leaves.view(np.float64).reshape(rows, -1)), axis=1)
         assert np.array_equal(got, leaves)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_frames_equal_the_take_and_row_sum_reference(self, rng, n):
+        # every outcome up to n = 5, else 2000 drawn ones and the two extremes
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        if n <= 5:
+            codes = np.array(list(product(range(4), repeat=n)), dtype=np.intp)
+        else:
+            drawn = rng.integers(4, size=(2000, n))
+            codes = np.concatenate([drawn, np.zeros((1, n)), np.full((1, n), 3)])
+            codes = codes.astype(np.intp)
+        packed = teleport_module._frame_tables(n)[0]
+        frames = teleport_module._frames(packed, kinds, codes)
+        expected = take_sum_frames(kinds, codes)
+        assert frames.dtype == expected.dtype
+        assert np.array_equal(frames, expected)
 
     def test_state_checks_per_enumerate_do_not_grow_with_n(self, rng, monkeypatch):
         # the leaf states are checked in one batch, not one PureState each
