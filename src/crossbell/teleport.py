@@ -310,6 +310,11 @@ def _correct(
     by its row of exact signs (past _SIGN_SLOTS slots, by a row of ``high``
     too). Each factor is +-1, so a corrected row holds its leaf's floats,
     moved and negated, and no row's bits depend on the rows sharing its call.
+
+    A fidelity is clipped at 1.0: the client's squared norm and each leaf's
+    normalization are rounded, so |<client|row>|**2 can come out a few ulps
+    above 1. The rows are not rescaled, so every fidelity at or below 1 keeps
+    its bits.
     """
     n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
     packed, signs, high = _frame_tables(n)
@@ -322,6 +327,7 @@ def _correct(
     if n > low:
         blocks *= high[frames >> n + low + 8][..., None]
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
+    np.minimum(fidelities, 1.0, out=fidelities)
     return corrected, fidelities
 
 

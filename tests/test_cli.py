@@ -68,12 +68,14 @@ def assert_pinned(path, digests: tuple[str, str]) -> None:
 
 
 # Digests of teleport runs: (branch_digest, outcome_digest). The first were
-# recorded once Bob's correction factors were exactly +-1; the second, before
-# that, and they held across it. They pin the CLI's values apart from the walk
-# that both sides of test_stdout_equals_the_payload_built_from_reports share.
+# recorded once Bob's correction factors were exactly +-1 (N7_DIGESTS' and
+# _SAMPLED_DIGESTS' once fidelities were clipped at 1, since those runs
+# printed fidelities above 1); the second, before that, and they held across
+# it. They pin the CLI's values apart from the walk that both sides of
+# test_stdout_equals_the_payload_built_from_reports share.
 _CHANNELS = ["phi+", "psi-", "phi-", "psi+"] * 2
 N7_DIGESTS = (
-    "7cea6cf7aff0c7f0998e1b603867785a4fb729367029b6a4cd1243a4fc9fa2ae",
+    "22de3276d5e314c9d99237ccb2528c5a08e12e832a175f9c9206a52f0e675819",
     "99b3d5fd6443fb3e8d256f91c4667c27281a2ac82119d04a35a77ed8b466d5b8",
 )
 # (±1 ± 1j) / 4 on each of 8 amplitudes: the squared norm is exactly 1
@@ -122,7 +124,7 @@ _FILE_CLIENT_DIGESTS = (
     "022183132005ed1a3a70615171eef464497d86d5d09c0878ab867ead00812366",
 )
 _SAMPLED_DIGESTS = (
-    "f47d3f525f90e8184c7310fae2fee591330460bf5216fc12df303d0a6283dcc5",
+    "bd05e04d3f7fd1fa5693e91ae5e74c685cfc2bb257c5dc2a45fc1351f550b8ec",
     "aa8ee02ebd1b7e106c3a833525a36ca1cd0ce5a915ee97e3cf25963b95de9c55",
 )
 
@@ -654,6 +656,20 @@ class TestPinnedValues:
             "--trials", "1000", "--seed", "7", "--out", str(path),
         ]) == 0
         assert_pinned(path, _SAMPLED_DIGESTS)
+
+    def test_no_fidelity_exceeds_one(self, tmp_path):
+        # this run's client has a squared norm of 1 + 4e-16, and every one of
+        # its recovered fidelities rounded to 1.0000000000000004..9 unclipped
+        path = tmp_path / "run.json"
+        assert main([
+            "teleport", "--channel", "phi-,psi+,phi+", "--mode", "sample",
+            "--trials", "1000", "--seed", "7", "--out", str(path),
+        ]) == 0
+        payload = json.loads(path.read_text())
+        fidelities = [branch["fidelity"] for branch in payload["branches"]]
+        assert len(fidelities) == 1000
+        assert max(fidelities) <= 1.0
+        assert 1 - 1e-12 <= payload["aggregate"]["min_fidelity"] <= 1.0
 
     @pytest.mark.parametrize("source, n_pairs", sorted(_EXPAND_DIGESTS))
     def test_expand_coefficients(self, capsys, tmp_path, source, n_pairs):
