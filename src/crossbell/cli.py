@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .bell import KIND_ORDER, cross_bell_basis, cross_bell_coefficients, parse_channel
+from .bell import KIND_ORDER, bell_state, cross_bell_coefficients, parse_channel
 from .oracle import load_golden, matches_golden, verify_paper_tables
 from .statevec import (
     CHAIN_TOL, EXACT_TOL, PureState, StateError, canonicalize, load_state
@@ -203,12 +203,17 @@ def cmd_basis(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= MAX_BASIS_PARTIES:
         raise ValueError(f"basis check supports n in 1..{MAX_BASIS_PARTIES}")
-    states = cross_bell_basis(ProtocolLayout(n).channel_pairs)
-    stack = np.stack([s.amps for s in states])
+    # the paper's cross product of one Bell block per pair (j, n + j): a
+    # left-fold kron lists the states in kind_tuples order over qubits
+    # 1, n+1, 2, n+2, ...; one transpose puts the qubits in ascending order
+    block = np.stack([bell_state(kind, (1, 2)).amps for kind in KIND_ORDER])
+    axes = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    stack = functools.reduce(np.kron, [block] * n).reshape((4**n,) + (2, 2) * n)
+    stack = stack.transpose(axes).reshape(4**n, -1)
     gram = stack.conj() @ stack.T
-    deviation = float(np.max(np.abs(gram - np.eye(len(states)))))
+    deviation = float(np.max(np.abs(gram - np.eye(len(stack)))))
     payload = _envelope("basis", {"n": n})
-    payload["states"] = len(states)
+    payload["states"] = len(stack)
     payload["max_deviation"] = deviation
     _emit(payload, args.out)
     return 0 if deviation < EXACT_TOL else 1
