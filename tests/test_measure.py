@@ -561,7 +561,6 @@ class TestChannelLevel:
             if amps is dense:
                 assert walk.leaves.tobytes() == expected.leaves.tobytes()
 
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_and_born_sums_equal_the_halves_reference_bit_for_bit(self, n):
         # every kind at every depth, on levels of 1, 5 and 64 rows, dense and
@@ -593,6 +592,7 @@ class TestChannelLevel:
                 with pytest.raises(ValueError):
                     table[0] = 0
         assert tables.cache_info().currsize == 2
+
 
 _WORD = 2**64 - 1
 
