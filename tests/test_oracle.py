@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from functools import reduce
 from itertools import product
@@ -338,6 +339,23 @@ class TestDeriveCorrectionTable:
             joint = np.kron(tables[0][outcome[0]], tables[1][outcome[1]])
             assert np.allclose(joint, scaled, atol=1e-9)
 
+    def test_a_negated_outcome_is_jointly_inconsistent(self, monkeypatch):
+        # (psi-, psi-) changes both slots, so no single-slot read sees it
+        transfers = oracle._transfers
+
+        def negating(kinds, choices):
+            matrices = transfers(kinds, choices)
+            matrices[BellKind.PSI_MINUS.code * 5] *= -1
+            return matrices
+
+        monkeypatch.setattr(oracle, "_transfers", negating)
+        with pytest.raises(
+            FactorizationFailure,
+            match=r"^slot tables are jointly inconsistent at outcome "
+            r"\['psi-', 'psi-'\]$",
+        ):
+            derive_correction_table(PHI_CHANNEL)
+
     @pytest.mark.parametrize("kinds", list(product(KIND_ORDER, repeat=2)))
     def test_loop_closure_all_two_pair_channels(self, kinds, rng):
         # corrections derived here give unit fidelity through the protocol
@@ -369,6 +387,65 @@ class TestDeriveCorrectionTable:
                 composed = corrections_for(kinds, (kind,) * n)
                 for m in range(n):
                     assert np.array_equal(composed[m], tables[m][kind])
+
+
+def entry_digest(entries) -> str:
+    """sha256 of each entry's dtype and shape, then its real and imaginary
+    parts as int8 after an integrality check, so the sign of zero drops out."""
+    digest = hashlib.sha256()
+    for entry in entries:
+        digest.update(f"{entry.dtype.str}{entry.shape}".encode())
+        for part in (entry.real, entry.imag):
+            assert np.array_equal(part, np.rint(part))
+            digest.update(part.astype(np.int8).tobytes())
+    return digest.hexdigest()
+
+
+def pinned_channels(n):
+    """Every channel at n <= 3; four channels seeded by n above."""
+    if n <= 3:
+        return list(product(KIND_ORDER, repeat=n))
+    rows = np.random.default_rng(n).integers(4, size=(4, n))
+    return [tuple(KIND_ORDER[c] for c in row) for row in rows]
+
+
+# recorded from the 4^n candidate search that fitted each slot, before the
+# slots were read off the transfer matrices directly
+_TABLE_DIGESTS = {
+    1: "5dfe11065a0fbaa558e709f054ae351c046c0b77d88b2621c1be53276aa3b08b",
+    2: "8acdb02b4e8bf2c572b70f7066e2ef91f2afda260ab960e1b0ae9c5cf86a0abf",
+    3: "646d20fce5714cbd3c5f87d84b7f3fafc11db885bce0bef43367963e385a1bdf",
+    4: "f9ce999be1ea9418e7c1897d2c30fc44cc300acc7c63792678cd99865b7cb330",
+    5: "f01bb83a9ca4ce0de5215a4320757daee5872e4712391e6b97b5959d621e275d",
+}
+_CORRECTION_DIGESTS = {
+    1: "5dfe11065a0fbaa558e709f054ae351c046c0b77d88b2621c1be53276aa3b08b",
+    2: "64474e0cc46fa351d261574675a0955c683f371448336b8635fac9116c6f84fd",
+}
+
+
+class TestDerivedEntryPins:
+    """Every derived entry, pinned as exact small integers and a dtype."""
+
+    @pytest.mark.parametrize("n", sorted(_TABLE_DIGESTS))
+    def test_correction_tables(self, n):
+        entries = [
+            table[kind]
+            for kinds in pinned_channels(n)
+            for table in derive_correction_table(kinds)
+            for kind in KIND_ORDER
+        ]
+        assert entry_digest(entries) == _TABLE_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(_CORRECTION_DIGESTS))
+    def test_corrections_of_every_outcome(self, n):
+        entries = [
+            slot
+            for kinds in pinned_channels(n)
+            for outcome in kind_tuples(n)
+            for slot in derive_correction(kinds, outcome)
+        ]
+        assert entry_digest(entries) == _CORRECTION_DIGESTS[n]
 
 
 class TestEntanglement:
