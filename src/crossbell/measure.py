@@ -319,6 +319,7 @@ def walk_branches(
         raise ValueError(f"need {2**n} client amplitudes, got shape {vec.shape}")
     if vec.dtype != np.complex128:  # each level reads it through a float64 view
         raise TypeError(f"client amplitudes must be complex128, got dtype {vec.dtype}")
+    vec = np.ascontiguousarray(vec)  # e.g. a strided view, for that float64 view
     draws = None if seeds is None else _uniforms(seeds, n)
     level = vec.reshape(1, -1)
     codes = np.zeros(1, dtype=np.intp)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from importlib import resources
 from itertools import chain, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ from .bell import (
 from .statevec import (
     CHAIN_TOL,
     EXACT_TOL,
-    SIGMA_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     PureState,
     _close,
     canonicalize,
@@ -51,11 +47,6 @@ class FactorizationFailure(Exception):
 
 class ArityError(Exception):
     """An operation got a state with the wrong number of qubits."""
-
-
-# Canonical slot representatives s0, sx, i*sy, sz: first nonzero entry
-# (row-major) is +1.
-_SLOT_REPS = (SIGMA_0, SIGMA_X, 1j * SIGMA_Y, SIGMA_Z)
 
 # The Bell patterns times sqrt(2), rows in KIND_ORDER, over |00>, |01>, |10>,
 # |11> of a pair (lower id first): psi+- = |00> +- |11>, phi+- = |01> +- |10>.
@@ -101,28 +92,30 @@ def _ratio(a: np.ndarray, b: np.ndarray) -> complex | None:
     return c if _close(a, c * b, CHAIN_TOL) else None
 
 
-def _fit_slots(
-    scaled: np.ndarray, combos: Iterable[Sequence[np.ndarray]]
-) -> tuple[Sequence[np.ndarray], float]:
-    """First slot combination whose Kronecker product (left fold) equals
-    ``scaled`` exactly up to a sign, and that sign."""
-    for combo in combos:
-        kron = reduce(np.kron, combo)
-        for sign in (1.0, -1.0):
-            if np.array_equal(scaled, sign * kron):
-                return combo, sign
-    raise FactorizationFailure("no signed Pauli product matches the transfer")
+def _corner_slot(matrix: np.ndarray, base: np.ndarray, m: int) -> np.ndarray:
+    """Slot m of ``matrix``, its 2x2 slice with every other slot at base's
+    corner: row 0, and that slot's bit of the column of base's one row-0
+    nonzero. Slots 1..n-1 are multiplied by that nonzero, +-1, which makes
+    them canonical (first nonzero entry +1) and leaves the sign on slot 0."""
+    n = len(base).bit_length() - 1
+    first = int(np.flatnonzero(base[0])[0])
+    corner = [0] * n + [first >> (n - 1 - j) & 1 for j in range(n)]
+    corner[m] = corner[n + m] = slice(None)
+    sign = base[0, first] if m else 1
+    return sign * matrix.reshape((2,) * 2 * n)[tuple(corner)].astype(complex)
 
 
 def _factor_slots(scaled: np.ndarray) -> list[np.ndarray]:
-    """Per-slot factors of one scaled transfer matrix: slots 1..n-1 canonical
-    signed Paulis (first nonzero entry +1), slot 0 carrying the sign, so the
-    exact tensor product reproduces it."""
+    """Per-slot factors of one scaled transfer matrix, each read at its own
+    corner (:func:`_corner_slot`), so the exact tensor product reproduces it."""
     if not np.array_equal(scaled @ scaled.conj().T, np.eye(len(scaled))):
         raise FactorizationFailure("scaled transfer matrix is not unitary")
     n = len(scaled).bit_length() - 1
-    combo, sign = _fit_slots(scaled, product(_SLOT_REPS, repeat=n))
-    return [sign * combo[0]] + [m.copy() for m in combo[1:]]
+    slots = [_corner_slot(scaled, scaled, m) for m in range(n)]
+    integral = np.isin(scaled, (-1, 0, 1)).all()  # so each exact factor is a Pauli
+    if not (integral and np.array_equal(reduce(np.kron, slots), scaled)):
+        raise FactorizationFailure("no signed Pauli product matches the transfer")
+    return slots
 
 
 def derive_correction(
@@ -133,26 +126,29 @@ def derive_correction(
 
 
 def _derive_tables(kinds: ChannelSpec) -> tuple[list[dict], np.ndarray]:
-    """:func:`derive_correction_table` and the 4^n scaled matrices it fits."""
+    """:func:`derive_correction_table` and the 4^n scaled matrices it reads."""
     n = len(kinds)
     scaled = (2**n) * _transfers(kinds, [KIND_ORDER] * n)
-    base = _factor_slots(scaled[0])  # the all-psi+ outcome
+    _factor_slots(scaled[0])  # the all-psi+ outcome, at whose corner all is read
+    # entry (m, kind): slot m of the all-psi+ outcome with slot m's kind changed
     tables: list[dict[BellKind, np.ndarray]] = [
-        {BellKind.PSI_PLUS: base[m]} for m in range(n)
+        {kind: _corner_slot(scaled[kind.code * 4 ** (n - 1 - m)], scaled[0], m)
+         for kind in KIND_ORDER}
+        for m in range(n)
     ]
-    for m in range(n):
-        for kind in KIND_ORDER[1:]:
-            variants = (base[:m] + [rep] + base[m + 1 :] for rep in _SLOT_REPS)
-            # the all-psi+ outcome with slot m's kind changed
-            combo, sign = _fit_slots(scaled[kind.code * 4 ** (n - 1 - m)], variants)
-            tables[m][kind] = sign * combo[m]
-    for outcome, matrix in zip(kind_tuples(n), scaled):
-        joint = reduce(np.kron, (tables[m][k] for m, k in enumerate(outcome)))
-        if not np.array_equal(joint, matrix):
-            raise FactorizationFailure(
-                f"slot tables are jointly inconsistent at outcome "
-                f"{[k.token for k in outcome]}"
-            )
+    # every outcome's product in one left fold, outcome-major: each slot
+    # appends one digit to the outcome, the row and the column
+    joint = np.ones((1, 1, 1))
+    for m, table in enumerate(tables):
+        block = np.stack([table[kind] for kind in KIND_ORDER])
+        joint = joint[:, None, :, None, :, None] * block[:, None, :, None, :]
+        joint = joint.reshape(4 ** (m + 1), 2 ** (m + 1), -1)
+    if not np.array_equal(joint, scaled):
+        outcome = list(kind_tuples(n))[np.argmin((joint == scaled).all(axis=(1, 2)))]
+        raise FactorizationFailure(
+            f"slot tables are jointly inconsistent at outcome "
+            f"{[k.token for k in outcome]}"
+        )
     return tables, scaled
 
 

@@ -812,6 +812,12 @@ class TestBasisCommand:
         code, _, err = run_cli(capsys, "basis", "--n", "6")
         assert code == 2
 
+    def test_largest_basis_peaks_within_60_mb_of_the_smallest(self):
+        # at n = 5 the stack and its Gram matrix are 16 MiB each; the
+        # deviation from the identity adds no full-size complex temporary
+        gap = cli_peak_rss("basis", "--n", "5") - cli_peak_rss("basis", "--n", "1")
+        assert gap <= 60 * 1024, f"gap {gap / 1024:.1f} MB"
+
 
 class TestExpandCommand:
     def test_basis_element_delta(self, capsys, tmp_path):

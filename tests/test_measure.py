@@ -309,6 +309,22 @@ class TestWalkBranches:
             assert as_array.probabilities.tobytes() == as_list.probabilities.tobytes()
             assert as_array.leaves.tobytes() == as_list.leaves.tobytes()
 
+    @pytest.mark.parametrize("seeds", [None, [4], [4, 9, 4, 30]])
+    def test_a_strided_vector_walks_as_its_copy(self, rng, seeds):
+        # unmended, a 1-D view such as amps[::2] failed in the level kernel's
+        # float64 view, although only shape and dtype are documented to raise
+        kinds = (BellKind.PHI_MINUS, BellKind.PSI_PLUS, BellKind.PHI_PLUS)
+        amps = random_state(ProtocolLayout(4).client_ids, rng).amps
+        strided = amps[::2]
+        assert not strided.flags.c_contiguous
+        walk = walk_branches(kinds, strided, seeds)
+        copied = walk_branches(kinds, strided.copy(), seeds)
+        assert np.array_equal(walk.outcomes, copied.outcomes)
+        assert walk.probabilities.tobytes() == copied.probabilities.tobytes()
+        assert walk.leaves.tobytes() == copied.leaves.tobytes()
+        if seeds is not None:
+            assert np.array_equal(walk.trial_leaf, copied.trial_leaf)
+
     @pytest.mark.parametrize(
         "n, shape",
         [(1, (4,)), (2, (2,)), (2, (2, 2)), (1, (1, 2))],

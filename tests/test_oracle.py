@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -26,8 +27,6 @@ from crossbell.oracle import (
     _audit_eq7,
     _audit_eq9,
     _factor_slots,
-    _fit_slots,
-    _SLOT_REPS,
     _transfers,
     coefficient_matrix,
     derive_correction,
@@ -290,22 +289,39 @@ class TestDeriveCorrection:
     def test_factorization_failure_on_non_pauli(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(FactorizationFailure):
-            _fit_slots(np.kron(hadamard, SIGMA_0), product(_SLOT_REPS, repeat=2))
+            _factor_slots(np.kron(hadamard, SIGMA_0))
 
     def test_the_documented_bound_is_the_bound(self):
-        # the fit is exact: sigma_x fits, and a 1e-10 deviation and a
-        # deviation of one ulp are both refused
-        combo, sign = _fit_slots(SIGMA_X.copy(), product(_SLOT_REPS, repeat=1))
-        assert np.array_equal(combo[0], SIGMA_X) and sign == 1
+        # the read is exact: sigma_x and -sigma_x factor, and a 1e-10
+        # deviation and a deviation of one ulp are both refused
+        for sign in (1, -1):
+            (slot,) = _factor_slots(sign * SIGMA_X)
+            assert np.array_equal(slot, sign * SIGMA_X) and slot.dtype == complex
         for near in (1 + 1e-10, np.nextafter(1.0, 2.0)):
             deviated = np.array([[0, 1], [near, 0]], dtype=complex)
             with pytest.raises(FactorizationFailure):
-                _fit_slots(deviated, product(_SLOT_REPS, repeat=1))
+                _factor_slots(deviated)
 
     def test_one_ulp_off_unitary_is_refused_before_the_fit(self):
         off = np.array([[0, 1], [np.nextafter(1.0, 2.0), 0]])
         with pytest.raises(FactorizationFailure, match="not unitary"):
             _factor_slots(off)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.eye(4)[[0, 1, 3, 2]],  # CNOT
+            np.eye(4)[[0, 2, 1, 3]],  # SWAP
+            np.diag([1, -1j]),  # a phase gate: one slot, but not a signed Pauli
+        ],
+        ids=["cnot", "swap", "phase"],
+    )
+    def test_exactly_unitary_non_products_fail_the_product_check(self, matrix):
+        with pytest.raises(
+            FactorizationFailure,
+            match=r"^no signed Pauli product matches the transfer$",
+        ):
+            _factor_slots(matrix)
 
 
 class TestDeriveCorrectionTable:
@@ -338,6 +354,18 @@ class TestDeriveCorrectionTable:
             scaled = 4.0 * transfer_matrix(kinds, outcome)
             joint = np.kron(tables[0][outcome[0]], tables[1][outcome[1]])
             assert np.allclose(joint, scaled, atol=1e-9)
+
+    def test_warm_five_pair_derivation_peaks_within_28_mib(self):
+        # the 4^5 scaled matrices alone are 8 MiB, their joint fold 16 MiB
+        kinds = pinned_channels(5)[0]
+        derive_correction_table(kinds)
+        tracemalloc.start()
+        try:
+            derive_correction_table(kinds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_a_negated_outcome_is_jointly_inconsistent(self, monkeypatch):
         # (psi-, psi-) changes both slots, so no single-slot read sees it
