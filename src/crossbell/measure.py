@@ -236,12 +236,22 @@ def _reached(child: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_children(
-    born: np.ndarray, codes: np.ndarray, pair: tuple[int, int]
+    born: np.ndarray, codes: np.ndarray | None, pair: tuple[int, int]
 ) -> None:
-    """:func:`_check_possible` for each kept child, in child order."""
+    """:func:`_check_possible` for each kept child, in child order. Child i's
+    code is ``codes[i]``, or i itself when every child is kept (``None``)."""
     if born.min() <= EXACT_TOL:
         i = np.flatnonzero(born <= EXACT_TOL)[0]
-        _check_possible(float(born[i]), KIND_ORDER[int(codes[i]) & 3], pair)
+        code = i if codes is None else codes[i]
+        _check_possible(float(born[i]), KIND_ORDER[int(code) & 3], pair)
+
+
+@functools.cache
+def _enumerated(n: int) -> np.ndarray:
+    """Read-only (4**n, n) outcome codes of an n-level enumeration, by leaf."""
+    codes = np.arange(4**n)[:, None] >> np.arange(2 * n - 2, -1, -2) & 3
+    codes.setflags(write=False)
+    return codes
 
 
 # _LEVEL_FACTORS[K, k, b]: 2**-1/2 times child k's sign at Bob's bit b under a
@@ -311,8 +321,9 @@ def walk_branches(
     child index, so every walk lists its leaves in code order and a sampled
     walk is bit for bit the enumerate walk's rows at the codes its trials
     reach. A leaf's probability is the product of its per-pair Born
-    probabilities; each node carries its path as one base-4 code,
-    ``4 * parent + k``, expanded into ``outcomes`` at the end.
+    probabilities. A sampled node carries its path as one base-4 code,
+    ``4 * parent + k``, expanded into ``outcomes`` at the end; an enumerate
+    walk's leaf i has code i, so its ``outcomes`` are :func:`_enumerated`'s.
     """
     n = len(kinds)
     if vec.shape != (2**n,):
@@ -322,7 +333,7 @@ def walk_branches(
     vec = np.ascontiguousarray(vec)  # e.g. a strided view, for that float64 view
     draws = None if seeds is None else _uniforms(seeds, n)
     level = vec.reshape(1, -1)
-    codes = np.zeros(1, dtype=np.intp)
+    codes = None if draws is None else np.zeros(1, dtype=np.intp)
     probabilities = np.array([1.0])
     trial_node = None if draws is None else np.zeros(len(draws), dtype=np.intp)
     for depth, kind in enumerate(kinds):
@@ -332,7 +343,6 @@ def walk_branches(
         level, born = rows.reshape(-1, rows.shape[-1]), probs.reshape(-1)
         del rows
         if draws is None:
-            codes = np.arange(len(level))
             probabilities = (probabilities[:, None] * probs).ravel()
         else:
             if len(draws) == 1:  # the one trial is at node 0
@@ -347,4 +357,5 @@ def walk_branches(
         _check_children(born, codes, (n + depth + 1, 2 * n + depth + 1))
         _normalize(level, born)
     shifts = np.arange(2 * n - 2, -1, -2)  # pair d's 2 bits, highest first
-    return Walk(codes[:, None] >> shifts & 3, probabilities, level, trial_node)
+    outcomes = _enumerated(n) if codes is None else codes[:, None] >> shifts & 3
+    return Walk(outcomes, probabilities, level, trial_node)

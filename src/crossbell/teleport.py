@@ -250,13 +250,15 @@ def _check_run(kinds: ChannelSpec, client: PureState) -> PureState:
 
 # A sign row covers at most 2**_SIGN_SLOTS lanes; past that many slots a
 # second table signs each block of lanes. With low = min(n, _SIGN_SLOTS) the
-# two sign tables hold 4**(low + 1) + 4**(n - low) bytes, not 4**(n + 1).
+# two sign tables hold 4**(low + 1) + 4**(n - low) floats, not 4**(n + 1).
 _SIGN_SLOTS = 7
+# Rows ``_correct`` gathers and signs per step: bounds its index and sign rows.
+_BLOCK_ROWS = 1024
 
 
 def _walsh(k: int) -> np.ndarray:
-    """The int8 (2**k, 2**k) table of (-1)**popcount(z & i) at [z, i]."""
-    table = np.ones((1, 1), np.int8)
+    """The float64 (2**k, 2**k) table of (-1)**popcount(z & i) at [z, i]."""
+    table = np.ones((1, 1))
     for _ in range(k):
         table = np.block([[table, table], [table, -table]])
     return table
@@ -271,7 +273,7 @@ def _frame_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     + 8 if b >= low) the Z bit, set if the factor's sign follows Bob's bit,
     and bit n + low the factor's sign at bit 0. So a row's sum over its slots
     (:func:`_frames`) holds its X mask in bits 0..n-1, then its low Z mask z
-    and sign parity p, whose ``signs[p << low | z]`` is the +-1 of each of
+    and sign parity p, whose ``signs[p << low | z]`` is the +-1.0 of each of
     2**(low + 1) floats, then 8 bits of sign count (at most n), then its high
     Z mask, whose row of ``high`` signs each block of 2**low lanes."""
     low = min(n, _SIGN_SLOTS)
@@ -306,10 +308,12 @@ def _correct(
     row's index, and column m of ``walk.outcomes`` picks each row's frame for
     it. :func:`_frames` adds up each row's entries of :func:`_frame_tables`'
     ``packed``, one gather per slot, into its X mask, Z mask and sign parity.
-    One gather applies the X mask; then the float view is multiplied in place
-    by its row of exact signs (past _SIGN_SLOTS slots, by a row of ``high``
-    too). Each factor is +-1, so a corrected row holds its leaf's floats,
-    moved and negated, and no row's bits depend on the rows sharing its call.
+    Per block of _BLOCK_ROWS rows, one ``take`` from the flattened leaves
+    applies the X masks (row r's lane i reads amplitude r * 2**n + (i ^ mask))
+    into the result, whose float view is then multiplied in place by each
+    row's float64 signs (past _SIGN_SLOTS slots, by a row of ``high`` too).
+    Each factor is +-1.0, so a corrected row holds its leaf's floats, moved
+    and negated, and no row's bits depend on the rows sharing its call.
 
     A fidelity is clipped at 1.0: the client's squared norm and each leaf's
     normalization are rounded, so |<client|row>|**2 can come out a few ulps
@@ -319,13 +323,18 @@ def _correct(
     n, low, codes = len(kinds), min(len(kinds), _SIGN_SLOTS), walk.outcomes
     packed, signs, high = _frame_tables(n)
     frames = _frames(packed, kinds, codes)
-    lanes = np.arange(2**n, dtype=np.min_scalar_type(2**n - 1))
-    mask = (frames & 2**n - 1).astype(lanes.dtype)
-    corrected = walk.leaves[np.arange(len(codes))[:, None], lanes ^ mask[:, None]]
-    blocks = corrected.view(np.float64).reshape(len(codes), 2 ** (n - low), -1)
-    blocks *= signs[frames >> n & 2 ** (low + 1) - 1][:, None]
-    if n > low:
-        blocks *= high[frames >> n + low + 8][..., None]
+    leaves, lanes = walk.leaves.reshape(-1), np.arange(2**n)
+    corrected = np.empty((len(codes), 2**n), dtype=complex)
+    for start in range(0, len(codes), _BLOCK_ROWS):
+        block = frames[start : start + _BLOCK_ROWS]
+        rows = corrected[start : start + len(block)]
+        index = np.arange(start, start + len(block)) << n | block & 2**n - 1
+        # every index is in range; "clip" lets take write to rows unbuffered
+        leaves.take(index[:, None] ^ lanes, out=rows, mode="clip")
+        floats = rows.view(np.float64).reshape(len(block), 2 ** (n - low), -1)
+        floats *= signs[block >> n & 2 ** (low + 1) - 1][:, None]
+        if n > low:
+            floats *= high[block >> n + low + 8][..., None]
     fidelities = abs(np.einsum("ni,i->n", corrected, reference.conj())) ** 2
     np.minimum(fidelities, 1.0, out=fidelities)
     return corrected, fidelities

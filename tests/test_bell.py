@@ -14,6 +14,7 @@ from crossbell.bell import (
     bell_state,
     cross_bell_basis,
     cross_bell_coefficients,
+    cross_bell_stack,
     cross_bell_state,
     expand_in_cross_bell,
     format_matrix_token,
@@ -125,6 +126,48 @@ class TestCrossBellBasis:
         stack = np.stack([s.amps for s in states])
         gram = stack.conj() @ stack.T
         assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 2)], [(1, 3), (2, 4)], [(1, 4), (2, 5), (3, 6)],
+         [(2, 1)], [(4, 2), (3, 1)], [(6, 3), (5, 2), (4, 1)],
+         [(3, 6), (1, 4), (2, 5)], [(7, 2), (1, 8), (5, 3), (4, 6)]],
+        ids=str,
+    )
+    def test_states_are_each_kind_tuples_cross_bell_state_bytes(self, pairs):
+        # the paper's test pairs, then reversed and shuffled disjoint pairs
+        states = cross_bell_basis(pairs)
+        expected = [cross_bell_state(k, pairs) for k in kind_tuples(len(pairs))]
+        assert len(states) == len(expected) == 4 ** len(pairs)
+        for state, reference in zip(states, expected):
+            assert state.qubits == reference.qubits
+            assert state.amps.tobytes() == reference.amps.tobytes()
+        stack = cross_bell_stack(pairs)
+        assert stack.tobytes() == np.stack([s.amps for s in expected]).tobytes()
+
+    def test_states_of_drawn_disjoint_pairs_match_cross_bell_state(self, rng):
+        ids = rng.permutation(np.arange(1, 11)).tolist()
+        pairs = [tuple(ids[i : i + 2]) for i in range(0, 10, 2)]
+        states = cross_bell_basis(pairs)
+        for state, kinds in zip(states, kind_tuples(len(pairs))):
+            reference = cross_bell_state(kinds, pairs)
+            assert state.qubits == reference.qubits
+            assert state.amps.tobytes() == reference.amps.tobytes()
+
+    def test_basis_rows_are_read_only(self):
+        (state, *_) = cross_bell_basis([(1, 3), (2, 4)])
+        with pytest.raises(ValueError):
+            state.amps[0] = 1
+
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [([], StateError), ([(1, 1)], DuplicateQubit),
+         ([(1, 2), (2, 3)], DuplicateQubit), ([(0, 1)], StateError)],
+        ids=["empty", "one-qubit-pair", "overlap", "id-zero"],
+    )
+    def test_bad_pairs_raise(self, pairs, error):
+        with pytest.raises(error):
+            cross_bell_basis(pairs)
 
     def test_lexicographic_order(self):
         combos = list(kind_tuples(2))

@@ -431,6 +431,36 @@ class TestWalkBranches:
             with pytest.raises(ZeroProbabilityOutcome, match=message):
                 walk_branches(kinds, amps, draws)
 
+    def test_an_impossible_child_below_the_root_names_its_kind_and_pair(self, rng):
+        # enumerating n = 2: at depth 1, node 2's psi- child (code 9) and node
+        # 3's psi+ child (code 12) get probability 0, and the first is named
+        kinds = (BellKind.PHI_PLUS, BellKind.PSI_MINUS)
+        amps = random_state(ProtocolLayout(2).client_ids, rng).amps
+
+        def stub(level, kind, depth):
+            rows, probs = CHANNEL_LEVEL(level, kind, depth)
+            if depth == 1:
+                probs[2, 1] = probs[3, 0] = 0.0
+            return rows, probs
+
+        message = r"^outcome psi- on pair \(4, 6\) has probability 0\.000e\+00$"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure_module, "_channel_level", stub)
+            with pytest.raises(ZeroProbabilityOutcome, match=message):
+                walk_branches(kinds, amps)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerated_outcomes_are_one_cached_read_only_array(self, rng, n):
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        amps = random_state(ProtocolLayout(n).client_ids, rng).amps
+        first, second = walk_branches(kinds, amps), walk_branches(kinds, amps)
+        expected = np.arange(4**n)[:, None] >> np.arange(2 * n - 2, -1, -2) & 3
+        assert first.outcomes.dtype == expected.dtype
+        assert np.array_equal(first.outcomes, expected)
+        assert second.outcomes is first.outcomes
+        with pytest.raises(ValueError):
+            first.outcomes[0, 0] = 1
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -15,7 +15,8 @@ LAYERS = ("statevec", "bell", "measure", "teleport", "oracle", "__init__", "cli"
 WALKER_NAMES = {
     "_contract", "_channel_level", "walk_branches", "cross_bell_coefficients",
     "expand_in_cross_bell", "_BELL_AMPS", "_project_raw", "prepare_channel",
-    "bell_state", "cross_bell_state", "cross_bell_basis",
+    "bell_state", "cross_bell_state", "cross_bell_basis", "cross_bell_stack",
+    "_enumerated",
 }
 
 

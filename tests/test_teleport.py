@@ -560,9 +560,42 @@ class TestCorrectStep:
             assert rows.tobytes() == whole[picked].tobytes()
             assert part_fidelities.tobytes() == fidelities[picked].tobytes()
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_leaf_subsets_at_the_block_seams_correct_as_the_einsum(self, rng, n):
+        # sizes on either side of one and two _BLOCK_ROWS seams, of leaves
+        # picked anywhere in the enumeration
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        walk = walk_branches(kinds, client.amps)
+        assert teleport_module._BLOCK_ROWS == 1024
+        for size in (1, 1023, 1024, 1025, 2049):
+            picked = np.sort(rng.choice(len(walk.leaves), size=size, replace=False))
+            part = walk._replace(
+                outcomes=walk.outcomes[picked],
+                probabilities=walk.probabilities[picked],
+                leaves=walk.leaves[picked],
+            )
+            corrected, fidelities = teleport_module._correct(kinds, part, client.amps)
+            expected, expected_fidelities = einsum_correct(kinds, part, client.amps)
+            assert corrected.shape == (size, 2**n)
+            assert corrected.tobytes() == expected.tobytes()
+            assert fidelities.tobytes() == np.array(expected_fidelities).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_high_sign_rows_across_two_blocks_equal_the_einsum(self, rng, n):
+        # past _SIGN_SLOTS slots each block also signs from the high table
+        kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
+        client = random_client(n, rng)
+        walk = walk_branches(kinds, client.amps, rng.integers(2**63, size=1500))
+        assert 1024 < len(walk.leaves) <= 2048
+        corrected, fidelities = teleport_module._correct(kinds, walk, client.amps)
+        expected, expected_fidelities = einsum_correct(kinds, walk, client.amps)
+        assert corrected.tobytes() == expected.tobytes()
+        assert fidelities.tobytes() == np.array(expected_fidelities).tobytes()
+
     @pytest.mark.parametrize("n", [8, 9])
     def test_frame_beyond_eight_index_bits_equals_the_einsum(self, rng, n):
-        # n = 9 rows need a uint16 lane index
+        # n = 9 lanes need more than eight index bits
         kinds = tuple(KIND_ORDER[c] for c in rng.integers(4, size=n))
         client = random_client(n, rng)
         walk = walk_branches(kinds, client.amps, rng.integers(2**63, size=64))
